@@ -417,13 +417,13 @@ HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
       pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
   }
 
-  std::size_t threads = util::ThreadPool::resolve(config_.threads);
+  std::size_t threads = util::resolve_threads(config_.threads);
   if (!groups.empty()) threads = std::min(threads, groups.size());
   // Never oversubscribe: suffix learning is CPU-bound, so workers beyond the
   // core count only add preemption (measurably pessimizing small corpora —
   // the seed bench's cached_4t used to lose to cached_1t on 1-core hosts).
   // Output is threads-invariant, so the clamp is unobservable in results.
-  threads = std::min(threads, util::ThreadPool::resolve(0));
+  threads = std::min(threads, util::resolve_threads(0));
   if (threads <= 1) {
     for (std::size_t i = 0; i < groups.size(); ++i)
       slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
@@ -499,7 +499,7 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
 
   // Same no-oversubscription clamp as run_instrumented.
   const std::size_t threads =
-      std::min(util::ThreadPool::resolve(config_.threads), util::ThreadPool::resolve(0));
+      std::min(util::resolve_threads(config_.threads), util::resolve_threads(0));
   std::optional<util::WorkStealingPool> pool;
   if (threads > 1) {
     pool.emplace(threads);
@@ -697,9 +697,9 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
       if (const auto grid = expected_rtt_grid(meas))
         pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
     }
-    std::size_t threads = util::ThreadPool::resolve(config_.threads);
+    std::size_t threads = util::resolve_threads(config_.threads);
     threads = std::min(threads, dirty_idx.size());
-    threads = std::min(threads, util::ThreadPool::resolve(0));
+    threads = std::min(threads, util::resolve_threads(0));
     if (threads <= 1) {
       for (std::size_t k = 0; k < dirty_idx.size(); ++k)
         fresh[k] = run_suffix_instrumented(groups[dirty_idx[k]], meas, pm, tracer);

@@ -29,13 +29,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "core/geolocate.h"
 #include "core/hoiho.h"
@@ -76,14 +80,37 @@ int usage(const char* argv0) {
                "--keep-generations archives the last N published models next to\n"
                "--model (GENS lists them, ROLLBACK <gen> re-serves one);\n"
                "--canary-file replays pinned queries before publishing a reload and\n"
-               "rejects the new model on any divergence; --worker-stall-ms counts\n"
-               "lookup workers stuck on one batch longer than N ms.\n"
+               "rejects the new model on any divergence; --workers sets the number of\n"
+               "event loops (0 = one per core); --worker-stall-ms counts batches that\n"
+               "keep an event loop busy longer than N ms.\n"
                "--delta-watch (or HOIHO_DELTA=FILE) polls FILE for model deltas:\n"
                "each rewrite is applied onto the serving generation via DELTA\n"
                "semantics (stale-base and torn files are rejected, not served).\n"
                "HOIHO_FAILPOINTS=site=spec;... injects faults (testing only).\n",
                argv0, argv0);
   return 1;
+}
+
+// Parses all of `text` as a decimal integer in [lo, hi]. Anything else —
+// "-2", "abc", a port of "70000" — is refused on stderr rather than
+// wrapped or read as 0.
+bool parse_integer(const char* flag, const char* text, long long lo, long long hi,
+                   long long* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  if (ec == std::errc() && ptr == end && *out >= lo && *out <= hi) return true;
+  std::fprintf(stderr, "hoihod: %s: '%s' is not an integer in [%lld, %lld]\n", flag, text, lo,
+               hi);
+  return false;
+}
+
+// --rtt-slack-ms: a finite number of milliseconds, at least 0.
+bool parse_slack(const char* text, double* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  if (ec == std::errc() && ptr == end && std::isfinite(*out) && *out >= 0.0) return true;
+  std::fprintf(stderr, "hoihod: --rtt-slack-ms: '%s' is not a number >= 0\n", text);
+  return false;
 }
 
 int write_demo_model(const std::string& model_path, std::size_t operators,
@@ -190,106 +217,74 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // Each takes the flag's value from the next argument; false when it is
+    // missing or malformed.
+    const auto text = [&](std::string* out) {
+      if (i + 1 >= argc) return false;
+      *out = argv[++i];
+      return true;
     };
+    const auto integer = [&](auto* out, long long lo, long long hi) {
+      long long v = 0;
+      if (i + 1 >= argc || !parse_integer(argv[i], argv[i + 1], lo, hi, &v)) return false;
+      ++i;
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
+      return true;
+    };
+    constexpr long long kMaxMs = std::numeric_limits<int>::max();
+    bool ok = true;
     if (arg == "--model") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      model_path = v;
+      ok = text(&model_path);
     } else if (arg == "--write-demo-model") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      demo_path = v;
+      ok = text(&demo_path);
     } else if (arg == "--hosts-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      hosts_path = v;
+      ok = text(&hosts_path);
     } else if (arg == "--rtt-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_out = v;
+      ok = text(&rtt_out);
     } else if (arg == "--subjects-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      subjects_out = v;
+      ok = text(&subjects_out);
     } else if (arg == "--rtt") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_path = v;
+      ok = text(&rtt_path);
     } else if (arg == "--subjects") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      subjects_path = v;
+      ok = text(&subjects_path);
     } else if (arg == "--population") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      population_path = v;
+      ok = text(&population_path);
     } else if (arg == "--rtt-slack-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_slack_ms = std::atof(v);
+      ok = i + 1 < argc && parse_slack(argv[++i], &rtt_slack_ms);
     } else if (arg == "--port-file") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      port_file = v;
+      ok = text(&port_file);
     } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      port = static_cast<std::uint16_t>(std::atoi(v));
+      ok = integer(&port, 0, 65535);
     } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      workers = static_cast<std::size_t>(std::atoi(v));
+      ok = integer(&workers, 0, 1024);
     } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      operators = static_cast<std::size_t>(std::atoi(v));
+      ok = integer(&operators, 1, 1000000);
     } else if (arg == "--watch-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      watch_ms = std::atoi(v);
+      ok = integer(&watch_ms, 0, kMaxMs);
     } else if (arg == "--deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      deadline_ms = std::atoi(v);
+      ok = integer(&deadline_ms, 0, kMaxMs);
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      idle_timeout_ms = std::atoi(v);
+      ok = integer(&idle_timeout_ms, 0, kMaxMs);
     } else if (arg == "--max-inflight") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      max_inflight = static_cast<std::size_t>(std::atoi(v));
+      ok = integer(&max_inflight, 0, std::numeric_limits<long long>::max());
     } else if (arg == "--drain-timeout-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      drain_timeout_ms = std::atoi(v);
+      ok = integer(&drain_timeout_ms, 0, kMaxMs);
     } else if (arg == "--metrics-port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      metrics_port = std::atoi(v);
+      ok = integer(&metrics_port, 0, 65535);
     } else if (arg == "--keep-generations") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      keep_generations = static_cast<std::size_t>(std::atoi(v));
+      ok = integer(&keep_generations, 0, 1000000);
     } else if (arg == "--canary-file") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      canary_path = v;
+      ok = text(&canary_path);
     } else if (arg == "--worker-stall-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      worker_stall_ms = std::atoi(v);
+      ok = integer(&worker_stall_ms, 0, kMaxMs);
     } else if (arg == "--delta-watch") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      delta_path = v;
+      ok = text(&delta_path);
     } else if (arg == "--bind-any") {
       bind_any = true;
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
 
   if (!demo_path.empty())

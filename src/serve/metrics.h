@@ -50,7 +50,7 @@ class Metrics {
   obs::Counter reload_debounced;  // watch polls deferred for stability
   obs::Counter reload_rejected;   // canary gate kept the old generation
   obs::Counter rollbacks;         // ROLLBACK verbs that republished an archive
-  obs::Counter worker_stalled;    // watchdog: worker stuck on one batch
+  obs::Counter worker_stalled;    // watchdog: event loop stuck on one batch
   obs::Counter delta_applies;     // model deltas published (DELTA verb / watch)
   obs::Counter delta_rejected;    // stale base / unknown suffix / torn file
   obs::Histogram delta_apply_us;  // wall time of one apply_delta publish
@@ -84,13 +84,13 @@ class Metrics {
   obs::Counter connections_opened;
   obs::Counter connections_closed;
 
-  // Per-stage wall time, nanoseconds (event-loop parse/write, worker lookup).
+  // Per-stage wall time, nanoseconds (read + split, answering, write).
   obs::Counter parse_ns;
   obs::Counter lookup_ns;
   obs::Counter write_ns;
 
-  // Per-batch worker latency (dequeue to answers formatted); the histogram
-  // behind the STATS2 percentiles.
+  // Per-batch answering latency (first lookup to answers formatted); the
+  // histogram behind the STATS2 percentiles.
   obs::Histogram batch_ns;
 
   // Plain-struct copy for STATS v1 formatting; field set unchanged.

@@ -45,13 +45,12 @@ std::string_view trim_spaces(std::string_view s) {
   return s;
 }
 
+// Whole-token decimal: no sign, no trailing bytes, and nothing that
+// overflows 64 bits (which would otherwise wrap to a small valid number).
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  if (s.empty() || s.size() > 20) return std::nullopt;
   std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
   return v;
 }
 

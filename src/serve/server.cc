@@ -7,10 +7,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <unordered_map>
 
 #include "serve/protocol.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace hoiho::serve {
 
@@ -35,7 +41,88 @@ bool epoll_add(int epfd, int fd, std::uint64_t token, std::uint32_t events) {
   return ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
+// Counts stall episode `seq` at most once: loop 0's scan and the stalled
+// loop itself can both see one slow batch, and only the first claim wins.
+bool claim_stall(std::atomic<std::uint64_t>& reported, std::uint64_t seq) {
+  std::uint64_t prev = reported.load(std::memory_order_relaxed);
+  while (prev < seq)
+    if (reported.compare_exchange_weak(prev, seq, std::memory_order_relaxed)) return true;
+  return false;
+}
+
+void append_errors(std::string& out, std::size_t n, std::string_view reason) {
+  const std::string line = format_error(reason) + "\n";
+  out.reserve(out.size() + n * line.size());
+  for (std::size_t i = 0; i < n; ++i) out += line;
+}
+
 }  // namespace
+
+// One epoll loop: the connections it owns, answered inline on its thread.
+// Loop 0 also owns the listen socket and the tick.
+class Server::Loop {
+ public:
+  Loop(Server& server, std::size_t index) : server_(server), index_(index) {}
+
+  // Creates the epoll set and wake eventfd; loop 0 also takes `listen_fd`.
+  bool open(util::Fd listen_fd, std::string* error);
+  void run();
+  void wake();
+  // Any thread: queue an accepted connection for this loop to register.
+  void hand_off(util::Fd fd);
+  // Loop 0's watchdog view of this loop: true when the batch it is
+  // answering has run past `threshold_ns` and nobody has counted it yet.
+  bool stalled(std::uint64_t threshold_ns);
+
+ private:
+  struct Connection {
+    std::uint64_t id = 0;  // epoll token within this loop
+    util::Fd fd;
+    std::string in_buf;
+    std::string out_buf;
+    std::size_t out_off = 0;  // bytes of out_buf already sent
+    bool peer_closed = false;
+    bool want_write = false;
+    bool reads_paused = false;
+    std::uint64_t last_activity_ms = 0;  // steady ms of last byte in/out
+
+    bool idle() const { return out_off == out_buf.size(); }
+  };
+
+  void accept_ready();
+  void adopt(util::Fd fd);
+  void adopt_inbox();
+  void on_readable(Connection& c);
+  void answer_batch(Connection& c, std::span<const std::string_view> lines,
+                    std::uint64_t read_ns);
+  void sweep_idle();  // close connections idle past idle_timeout_ms
+  void drain_step();  // progress graceful drain; loop 0 ends it for all loops
+  int timeout_ms(bool ticks, std::chrono::steady_clock::time_point next_tick) const;
+  bool flush(Connection& c);  // false: the connection was closed
+  void update_epoll(Connection& c);
+  void close_connection(Connection& c);
+
+  Server& server_;
+  const std::size_t index_;
+  util::Fd epoll_fd_;
+  util::Fd wake_fd_;    // eventfd: hand-offs, stop() and drain()
+  util::Fd listen_fd_;  // loop 0 only
+  std::uint64_t accepted_ = 0;  // loop 0 only: connection k goes to loop k mod N
+
+  std::mutex inbox_mu_;
+  std::vector<util::Fd> inbox_;  // accepted by loop 0, not yet registered here
+
+  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  std::uint64_t next_id_ = 2;  // 0 = listen token, 1 = wake token
+  std::vector<std::string_view> lines_;  // complete lines of one read (views into in_buf)
+  std::vector<std::size_t> batch_ends_;  // batch boundaries in lines_
+
+  util::Heartbeat heartbeat_;  // stamped once per batch
+  std::atomic<std::uint64_t> stall_reported_{0};  // last batch seq counted as stalled
+
+  // Loop 0 only, set when it starts draining.
+  std::optional<std::chrono::steady_clock::time_point> drain_deadline_;
+};
 
 Server::Server(ModelStore& store, ServerConfig config)
     : store_(store),
@@ -49,58 +136,90 @@ Server::Server(ModelStore& store, ServerConfig config)
   store_.set_metrics(&metrics_);
 }
 
-Server::~Server() {
-  // Drain the worker pool before tearing down the members its tasks touch
-  // (wake_fd_, completions_). Pool destruction runs queued batches to
-  // completion; their results are simply never flushed.
-  pool_.reset();
-}
+Server::~Server() = default;
 
 bool Server::start(std::string* error) {
-  listen_fd_ = util::listen_tcp(config_.port, error, config_.bind_any);
-  if (!listen_fd_) return false;
-  if (!util::set_nonblocking(listen_fd_.get())) {
+  util::Fd listen_fd = util::listen_tcp(config_.port, error, config_.bind_any);
+  if (!listen_fd) return false;
+  if (!util::set_nonblocking(listen_fd.get())) {
     if (error != nullptr) *error = "cannot set listen socket non-blocking";
     return false;
   }
-  const auto bound = util::local_port(listen_fd_.get());
+  const auto bound = util::local_port(listen_fd.get());
   if (!bound) {
     if (error != nullptr) *error = "getsockname failed";
     return false;
   }
   port_ = *bound;
+  const std::size_t n = util::resolve_threads(config_.workers);
+  for (std::size_t i = 0; i < n; ++i) {
+    loops_.push_back(std::make_unique<Loop>(*this, i));
+    if (!loops_.back()->open(i == 0 ? std::move(listen_fd) : util::Fd(), error)) return false;
+  }
+  return true;
+}
 
+void Server::run() {
+  if (loops_.empty()) return;
+  std::vector<std::jthread> others;
+  for (std::size_t i = 1; i < loops_.size(); ++i)
+    others.emplace_back([loop = loops_[i].get()] { loop->run(); });
+  loops_[0]->run();
+  // Whatever ended loop 0 — stop(), a finished drain, an epoll failure —
+  // ends the other loops too.
+  stop();
+}
+
+void Server::stop() {
+  stopping_.store(true, std::memory_order_release);
+  for (const auto& loop : loops_) loop->wake();
+}
+
+void Server::drain() {
+  draining_.store(true, std::memory_order_release);
+  for (const auto& loop : loops_) loop->wake();
+}
+
+bool Server::Loop::open(util::Fd listen_fd, std::string* error) {
   epoll_fd_.reset(::epoll_create1(EPOLL_CLOEXEC));
   wake_fd_.reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
   if (!epoll_fd_ || !wake_fd_) {
     if (error != nullptr) *error = std::string("epoll/eventfd: ") + std::strerror(errno);
     return false;
   }
-  if (!epoll_add(epoll_fd_.get(), listen_fd_.get(), kListenToken, EPOLLIN) ||
-      !epoll_add(epoll_fd_.get(), wake_fd_.get(), kWakeToken, EPOLLIN)) {
+  if (!epoll_add(epoll_fd_.get(), wake_fd_.get(), kWakeToken, EPOLLIN) ||
+      (listen_fd && !epoll_add(epoll_fd_.get(), listen_fd.get(), kListenToken, EPOLLIN))) {
     if (error != nullptr) *error = std::string("epoll_ctl: ") + std::strerror(errno);
     return false;
   }
-  pool_ = std::make_unique<util::ThreadPool>(util::ThreadPool::resolve(config_.workers));
+  listen_fd_ = std::move(listen_fd);
   return true;
 }
 
-void Server::wake() {
+void Server::Loop::wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_.get(), &one, sizeof(one));
 }
 
-void Server::stop() {
-  stopping_.store(true, std::memory_order_release);
+void Server::Loop::hand_off(util::Fd fd) {
+  {
+    const std::lock_guard lock(inbox_mu_);
+    inbox_.push_back(std::move(fd));
+  }
   wake();
 }
 
-void Server::drain() {
-  draining_.store(true, std::memory_order_release);
-  wake();
+bool Server::Loop::stalled(std::uint64_t threshold_ns) {
+  // Reading the seq on both sides of the start stamp pairs them: a batch
+  // that began in between would otherwise lend its seq to an older start.
+  const std::uint64_t seq = heartbeat_.task_seq.load(std::memory_order_acquire);
+  const std::uint64_t busy = heartbeat_.busy_since_ns.load(std::memory_order_acquire);
+  if (busy == 0 || heartbeat_.task_seq.load(std::memory_order_acquire) != seq) return false;
+  const std::uint64_t now = now_ns();
+  return now > busy && now - busy >= threshold_ns && claim_stall(stall_reported_, seq);
 }
 
-int Server::loop_timeout_ms(std::chrono::steady_clock::time_point next_tick) const {
+int Server::Loop::timeout_ms(bool ticks, std::chrono::steady_clock::time_point next_tick) const {
   using std::chrono::duration_cast;
   using std::chrono::milliseconds;
   long long timeout = -1;
@@ -109,45 +228,45 @@ int Server::loop_timeout_ms(std::chrono::steady_clock::time_point next_tick) con
     if (timeout < 0 || ms < timeout) timeout = ms;
   };
   const auto now = std::chrono::steady_clock::now();
-  if (config_.tick_ms > 0)
-    clamp(duration_cast<milliseconds>(next_tick - now).count());
-  if (config_.idle_timeout_ms > 0 && !conns_.empty())
+  if (ticks) clamp(duration_cast<milliseconds>(next_tick - now).count());
+  if (server_.config_.idle_timeout_ms > 0 && !conns_.empty())
     // Sweep at half the timeout so a connection is reaped at most 1.5x late.
-    clamp(std::max(config_.idle_timeout_ms / 2, 10));
-  if (drain_started_)
-    clamp(duration_cast<milliseconds>(drain_deadline_ - now).count());
+    clamp(std::max(server_.config_.idle_timeout_ms / 2, 10));
+  if (drain_deadline_) clamp(duration_cast<milliseconds>(*drain_deadline_ - now).count());
   return static_cast<int>(std::min<long long>(timeout, 1 << 30));
 }
 
-void Server::run() {
+void Server::Loop::run() {
   using Clock = std::chrono::steady_clock;
-  auto next_tick = Clock::now() + std::chrono::milliseconds(
-                                      config_.tick_ms > 0 ? config_.tick_ms : 0);
+  const ServerConfig& config = server_.config_;
+  const bool ticks = index_ == 0 && config.tick_ms > 0;
+  auto next_tick = Clock::now() + std::chrono::milliseconds(ticks ? config.tick_ms : 0);
   epoll_event events[64];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_.get(), events, 64, loop_timeout_ms(next_tick));
+  while (!server_.stopping_.load(std::memory_order_acquire)) {
+    const int n = ::epoll_wait(epoll_fd_.get(), events, 64, timeout_ms(ticks, next_tick));
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (config_.tick_ms > 0 && Clock::now() >= next_tick) {
-      next_tick = Clock::now() + std::chrono::milliseconds(config_.tick_ms);
-      // Watchdog: a worker wedged on one batch (slow model, livelocked
-      // lookup) is surfaced as a counter instead of silently eating a
-      // thread. One episode per batch (see util::Heartbeat).
-      if (config_.worker_stall_ms > 0 && pool_ != nullptr) {
-        metrics_.worker_stalled.add(
-            pool_->scan_stalled(static_cast<std::uint64_t>(config_.worker_stall_ms)));
+    if (ticks && Clock::now() >= next_tick) {
+      next_tick = Clock::now() + std::chrono::milliseconds(config.tick_ms);
+      // Watchdog: a loop wedged on one batch (slow model, livelocked
+      // lookup) is surfaced as a counter instead of silently eating a core.
+      // Loops count their own slow batches as they finish; this scan sees
+      // the ones still running.
+      if (config.worker_stall_ms > 0) {
+        const auto threshold_ns = static_cast<std::uint64_t>(config.worker_stall_ms) * 1000000u;
+        for (std::size_t k = 1; k < server_.loops_.size(); ++k)
+          if (server_.loops_[k]->stalled(threshold_ns)) server_.metrics_.worker_stalled.inc();
       }
-      if (config_.on_tick) config_.on_tick();
+      if (config.on_tick) config.on_tick();
     }
     for (int i = 0; i < n; ++i) {
       const std::uint64_t token = events[i].data.u64;
       if (token == kWakeToken) {
         std::uint64_t count = 0;
-        [[maybe_unused]] const ssize_t r =
-            ::read(wake_fd_.get(), &count, sizeof(count));
-        drain_completions();
+        [[maybe_unused]] const ssize_t r = ::read(wake_fd_.get(), &count, sizeof(count));
+        adopt_inbox();
       } else if (token == kListenToken) {
         accept_ready();
       } else {
@@ -159,63 +278,59 @@ void Server::run() {
           close_connection(c);
           continue;
         }
-        if ((events[i].events & EPOLLOUT) != 0) on_writable(c);
-        if (conns_.find(token) == conns_.end()) continue;
+        if ((events[i].events & EPOLLOUT) != 0 && !flush(c)) continue;
         if ((events[i].events & EPOLLIN) != 0) on_readable(c);
       }
     }
-    if (config_.idle_timeout_ms > 0) sweep_idle();
-    if (draining_.load(std::memory_order_acquire)) drain_step();
+    if (config.idle_timeout_ms > 0) sweep_idle();
+    if (server_.draining_.load(std::memory_order_acquire)) drain_step();
   }
 }
 
-void Server::sweep_idle() {
+void Server::Loop::sweep_idle() {
   const std::uint64_t now = now_ms();
-  const auto limit = static_cast<std::uint64_t>(config_.idle_timeout_ms);
+  const auto limit = static_cast<std::uint64_t>(server_.config_.idle_timeout_ms);
   std::vector<std::uint64_t> reap;
   for (const auto& [id, conn] : conns_) {
-    if (conn->idle() && conn->done.empty() && now - conn->last_activity_ms > limit)
-      reap.push_back(id);
+    if (conn->idle() && now - conn->last_activity_ms > limit) reap.push_back(id);
   }
   for (const std::uint64_t id : reap) {
-    const auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    metrics_.idle_closed.inc();
-    close_connection(*it->second);
+    server_.metrics_.idle_closed.inc();
+    close_connection(*conns_.at(id));
   }
 }
 
-void Server::drain_step() {
-  if (!drain_started_) {
-    drain_started_ = true;
+void Server::Loop::drain_step() {
+  Server& s = server_;
+  if (index_ == 0 && !drain_deadline_) {
     drain_deadline_ = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(std::max(config_.drain_timeout_ms, 0));
+                      std::chrono::milliseconds(std::max(s.config_.drain_timeout_ms, 0));
     // Stop accepting; connections already established keep being served.
     // Closing the listen socket (not just deregistering it) makes new
     // connects fail outright instead of parking in the kernel backlog.
     ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listen_fd_.get(), nullptr);
     listen_fd_.reset();
   }
-  // Close connections as they go quiet. A connection with in-flight batches
-  // or unflushed output is left alone — its answers land first.
-  std::vector<std::uint64_t> done_ids;
+  // Close connections as they go quiet. A connection with unflushed output
+  // is left alone — its answers land first.
+  std::vector<std::uint64_t> quiet;
   for (const auto& [id, conn] : conns_) {
-    if (conn->idle() && conn->done.empty()) done_ids.push_back(id);
+    if (conn->idle()) quiet.push_back(id);
   }
-  for (const std::uint64_t id : done_ids) {
-    const auto it = conns_.find(id);
-    if (it != conns_.end()) close_connection(*it->second);
-  }
-  if (conns_.empty() || std::chrono::steady_clock::now() >= drain_deadline_)
-    stopping_.store(true, std::memory_order_release);
+  for (const std::uint64_t id : quiet) close_connection(*conns_.at(id));
+  // Loop 0 ends the drain for every loop once no connection is left on any
+  // of them — one still in a loop's inbox counts — or at the deadline.
+  if (index_ == 0 && (s.open_connections_.load(std::memory_order_acquire) == 0 ||
+                      std::chrono::steady_clock::now() >= *drain_deadline_))
+    s.stop();
 }
 
-void Server::accept_ready() {
+void Server::Loop::accept_ready() {
+  Metrics& metrics = server_.metrics_;
   for (;;) {
     if (util::failpoint::any_active()) {
       const auto f = util::failpoint::hit("serve.accept");
-      if (f.kind != util::failpoint::Kind::kOff)
-        metrics_.injected_faults.inc();
+      if (f.kind != util::failpoint::Kind::kOff) metrics.injected_faults.inc();
       if (f.kind == util::failpoint::Kind::kError)
         return;  // simulated EMFILE/ENFILE: listen socket stays armed
     }
@@ -227,17 +342,41 @@ void Server::accept_ready() {
       return;  // transient accept failure; the listen socket stays armed
     }
     util::set_tcp_nodelay(fd);
-    auto conn = std::make_unique<Connection>();
-    conn->id = next_conn_id_++;
-    conn->fd.reset(fd);
-    conn->last_activity_ms = now_ms();
-    if (!epoll_add(epoll_fd_.get(), fd, conn->id, EPOLLIN)) continue;
-    metrics_.connections_opened.inc();
-    conns_.emplace(conn->id, std::move(conn));
+    server_.open_connections_.fetch_add(1, std::memory_order_acq_rel);
+    Loop& owner = *server_.loops_[accepted_++ % server_.loops_.size()];
+    if (&owner == this) {
+      adopt(util::Fd(fd));
+    } else {
+      owner.hand_off(util::Fd(fd));
+    }
   }
 }
 
-void Server::on_readable(Connection& c) {
+void Server::Loop::adopt(util::Fd fd) {
+  auto conn = std::make_unique<Connection>();
+  conn->id = next_id_++;
+  conn->last_activity_ms = now_ms();
+  if (!epoll_add(epoll_fd_.get(), fd.get(), conn->id, EPOLLIN)) {
+    server_.open_connections_.fetch_sub(1, std::memory_order_acq_rel);
+    return;  // fd closes here
+  }
+  conn->fd = std::move(fd);
+  server_.metrics_.connections_opened.inc();
+  conns_.emplace(conn->id, std::move(conn));
+}
+
+void Server::Loop::adopt_inbox() {
+  std::vector<util::Fd> fds;
+  {
+    const std::lock_guard lock(inbox_mu_);
+    fds.swap(inbox_);
+  }
+  for (util::Fd& fd : fds) adopt(std::move(fd));
+}
+
+void Server::Loop::on_readable(Connection& c) {
+  const ServerConfig& config = server_.config_;
+  Metrics& metrics = server_.metrics_;
   const std::uint64_t t0 = now_ns();
   char buf[16384];
   for (;;) {
@@ -245,11 +384,13 @@ void Server::on_readable(Connection& c) {
     if (n > 0) {
       c.in_buf.append(buf, static_cast<std::size_t>(n));
       c.last_activity_ms = now_ms();
-      if (c.in_buf.size() >= config_.max_line) break;  // parse before reading on
+      // A short read drained the socket; the fd is level-triggered, so
+      // later bytes wake the loop again without a recv that hits EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+      if (c.in_buf.size() >= config.max_line) break;  // parse before reading on
     } else if (n == 0) {
       // EOF: deregister EPOLLIN immediately — a level-triggered fd at EOF
-      // stays readable forever and would spin the loop while in-flight
-      // batches finish.
+      // stays readable forever and would spin the loop.
       c.peer_closed = true;
       update_epoll(c);
       break;
@@ -263,13 +404,16 @@ void Server::on_readable(Connection& c) {
     }
   }
 
-  std::vector<std::string> lines;
+  // Split the complete lines and cut them into batches of max_batch.
+  lines_.clear();
+  batch_ends_.clear();
   std::size_t start = 0;
+  std::size_t batch_start = 0;
   bool oversized = false;
   for (;;) {
     const std::size_t pos = c.in_buf.find('\n', start);
     if (pos == std::string::npos) break;
-    if (pos - start > config_.max_line) {
+    if (pos - start > config.max_line) {
       oversized = true;
       break;
     }
@@ -281,117 +425,115 @@ void Server::on_readable(Connection& c) {
       // group may push the batch past max_batch — it is never split. A
       // *malformed* header takes the ordinary path below and is answered
       // ERR without consuming any subject lines.
-      std::vector<std::pair<std::size_t, std::size_t>> subjects;
-      subjects.reserve(*count);
+      const std::size_t group_begin = lines_.size();
+      lines_.push_back(line);
       std::size_t scan = pos + 1;
-      bool complete = true;
-      while (subjects.size() < *count) {
+      while (lines_.size() - group_begin <= *count) {
         const std::size_t eol = c.in_buf.find('\n', scan);
-        if (eol == std::string::npos) {
-          complete = false;
-          break;
-        }
-        if (eol - scan > config_.max_line) {
+        if (eol == std::string::npos) break;
+        if (eol - scan > config.max_line) {
           oversized = true;
-          complete = false;
           break;
         }
-        subjects.emplace_back(scan, eol - scan);
+        lines_.emplace_back(c.in_buf.data() + scan, eol - scan);
         scan = eol + 1;
       }
-      if (!complete) break;
-      lines.emplace_back(line);
-      for (const auto& [s, len] : subjects) lines.emplace_back(c.in_buf, s, len);
+      if (lines_.size() - group_begin <= *count) {
+        lines_.resize(group_begin);  // incomplete: wait for the rest
+        break;
+      }
       start = scan;
     } else {
-      lines.emplace_back(line);
+      lines_.push_back(line);
       start = pos + 1;
     }
-    if (lines.size() >= config_.max_batch) {
-      dispatch(c, std::move(lines));
-      lines.clear();
+    if (lines_.size() - batch_start >= config.max_batch) {
+      batch_ends_.push_back(lines_.size());
+      batch_start = lines_.size();
     }
   }
-  c.in_buf.erase(0, start);
-  if (!lines.empty()) dispatch(c, std::move(lines));
-
+  if (lines_.size() > batch_start) batch_ends_.push_back(lines_.size());
   // A retained incomplete GEOB group keeps complete (bounded) lines in
-  // in_buf, so the oversize check applies to the trailing partial line
-  // only — exactly what the pre-GEOB `in_buf.size()` check measured.
+  // in_buf, so the oversize check applies to the trailing partial line only.
   const std::size_t last_nl = c.in_buf.rfind('\n');
-  const std::size_t partial =
-      last_nl == std::string::npos ? c.in_buf.size() : c.in_buf.size() - last_nl - 1;
-  if (oversized || partial >= config_.max_line) {
+  const std::size_t partial = last_nl == std::string::npos || last_nl < start
+                                  ? c.in_buf.size() - start
+                                  : c.in_buf.size() - last_nl - 1;
+  metrics.parse_ns.add(now_ns() - t0);
+
+  std::size_t begin = 0;
+  for (const std::size_t end : batch_ends_) {
+    answer_batch(c, std::span(lines_).subspan(begin, end - begin), t0);
+    begin = end;
+  }
+  c.in_buf.erase(0, start);
+  if (oversized || partial >= config.max_line) {
     // A line over the cap — terminated or still streaming in — is a
-    // protocol violation. Answer through the ordered completion path
-    // (after any lines dispatched above), then drop the connection once
-    // everything is flushed.
-    metrics_.errors.inc();
-    c.done[c.next_submit_seq++] = format_error("oversized line") + "\n";
+    // protocol violation. Answer it after the lines before it, then drop
+    // the connection once everything is flushed.
+    metrics.errors.inc();
+    c.out_buf += format_error("oversized line") + "\n";
     c.in_buf.clear();
     c.peer_closed = true;
     update_epoll(c);
   }
-  metrics_.parse_ns.add(now_ns() - t0);
-
-  const std::uint64_t id = c.id;
-  drain_completions();
-  const auto it = conns_.find(id);
-  if (it != conns_.end()) flush_ready(*it->second);  // stashed errors + close
+  flush(c);
 }
 
-void Server::dispatch(Connection& c, std::vector<std::string> lines) {
-  const std::uint64_t seq = c.next_submit_seq++;
-  if (config_.max_inflight > 0 && inflight_lines_ >= config_.max_inflight) {
-    // Shed at admission: answer every line ERR,busy through the ordered
-    // completion path without touching the worker pool, so an overloaded
-    // server degrades to fast rejections instead of unbounded queueing.
-    metrics_.shed_busy.add(lines.size());
-    std::string out;
-    out.reserve(lines.size() * 10);
-    for (std::size_t i = 0; i < lines.size(); ++i) out += format_error("busy") + "\n";
-    c.done[seq] = std::move(out);
+void Server::Loop::answer_batch(Connection& c, std::span<const std::string_view> lines,
+                                std::uint64_t read_ns) {
+  const ServerConfig& config = server_.config_;
+  Metrics& metrics = server_.metrics_;
+  std::atomic<std::size_t>& inflight = server_.inflight_lines_;
+  const std::size_t n = lines.size();
+  if (config.max_inflight > 0 &&
+      inflight.fetch_add(n, std::memory_order_acq_rel) >= config.max_inflight) {
+    // Shed at admission: while the lines admitted across all loops are at
+    // the cap, answer ERR,busy without touching the model, so an overloaded
+    // server degrades to fast rejections instead of unbounded work.
+    inflight.fetch_sub(n, std::memory_order_acq_rel);
+    metrics.shed_busy.add(n);
+    append_errors(c.out_buf, n, "busy");
     return;
   }
-  inflight_lines_ += lines.size();
-  metrics_.batches.inc();
-  metrics_.batched_lines.add(lines.size());
-  pool_->submit(
-      [this, id = c.id, seq, t0 = now_ns(), lines = std::move(lines)]() mutable {
-        process_batch(id, seq, t0, std::move(lines));
-      });
-}
-
-void Server::process_batch(std::uint64_t conn_id, std::uint64_t seq,
-                           std::uint64_t enqueue_ns, std::vector<std::string> lines) {
+  metrics.batches.inc();
+  metrics.batched_lines.add(n);
+  const std::uint64_t seq = heartbeat_.task_seq.fetch_add(1, std::memory_order_acq_rel) + 1;
+  const std::uint64_t begin = now_ns();
+  heartbeat_.busy_since_ns.store(begin, std::memory_order_release);
   if (util::failpoint::any_active()) {
-    // Artificial worker latency ("serve.process=delay:50"): the lever chaos
-    // tests use to force deadline expiry and inflight shedding on demand.
+    // Artificial lookup latency ("serve.process=delay:50"): the lever chaos
+    // tests use to force deadline expiry, shedding and stalls on demand.
     const auto f = util::failpoint::hit("serve.process");
-    if (f.kind != util::failpoint::Kind::kOff)
-      metrics_.injected_faults.inc();
+    if (f.kind != util::failpoint::Kind::kOff) metrics.injected_faults.inc();
   }
   const std::uint64_t t0 = now_ns();
-  if (config_.request_deadline_ms > 0 &&
-      t0 - enqueue_ns > static_cast<std::uint64_t>(config_.request_deadline_ms) * 1000000u) {
-    // The batch sat queued past its deadline; the client has likely timed
-    // out, so answer cheaply rather than burn lookup time on dead requests.
-    metrics_.deadline_expired.add(lines.size());
-    std::string out;
-    out.reserve(lines.size() * 14);
-    for (std::size_t i = 0; i < lines.size(); ++i) out += format_error("deadline") + "\n";
-    {
-      std::lock_guard lock(completions_mu_);
-      completions_.push_back(Completion{conn_id, seq, lines.size(), std::move(out)});
-    }
-    wake();
-    return;
+  if (config.request_deadline_ms > 0 &&
+      t0 - read_ns > static_cast<std::uint64_t>(config.request_deadline_ms) * 1000000u) {
+    // Answered too long after its read: the client has likely timed out,
+    // so answer cheaply rather than burn lookup time on dead requests.
+    metrics.deadline_expired.add(n);
+    append_errors(c.out_buf, n, "deadline");
+  } else {
+    server_.answer(lines, c.out_buf);
+    const std::uint64_t batch_ns = now_ns() - t0;
+    metrics.lookup_ns.add(batch_ns);
+    metrics.batch_ns.observe(static_cast<double>(batch_ns));
   }
+  const std::uint64_t end = now_ns();
+  heartbeat_.busy_since_ns.store(0, std::memory_order_release);
+  if (config.worker_stall_ms > 0 &&
+      end - begin >= static_cast<std::uint64_t>(config.worker_stall_ms) * 1000000u &&
+      claim_stall(stall_reported_, seq))
+    metrics.worker_stalled.inc();
+  if (config.max_inflight > 0) inflight.fetch_sub(n, std::memory_order_acq_rel);
+}
+
+void Server::answer(std::span<const std::string_view> lines, std::string& out) {
   // One snapshot per batch: lookups within a batch see one model generation
   // even if a reload lands mid-batch.
   std::shared_ptr<const ModelSnapshot> snap = store_.current();
-  std::string out;
-  out.reserve(lines.size() * 24);
+  out.reserve(out.size() + lines.size() * 24);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const Request req = parse_request(lines[i]);
     if (!req.error.empty()) {
@@ -551,65 +693,21 @@ void Server::process_batch(std::uint64_t conn_id, std::uint64_t seq,
     }
     out += '\n';
   }
-  const std::uint64_t batch_ns = now_ns() - t0;
-  metrics_.lookup_ns.add(batch_ns);
-  metrics_.batch_ns.observe(static_cast<double>(batch_ns));
-  {
-    std::lock_guard lock(completions_mu_);
-    completions_.push_back(Completion{conn_id, seq, lines.size(), std::move(out)});
-  }
-  wake();
 }
 
-void Server::drain_completions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard lock(completions_mu_);
-    done.swap(completions_);
-  }
-  for (Completion& comp : done) {
-    // Credit the inflight budget even for closed connections — their
-    // batches consumed worker capacity all the same.
-    inflight_lines_ -= std::min(inflight_lines_, comp.line_count);
-    const auto it = conns_.find(comp.conn_id);
-    if (it == conns_.end()) continue;  // connection closed while in flight
-    it->second->done[comp.seq] = std::move(comp.data);
-  }
-  // Flush every connection that received data (re-find: flush can close).
-  for (Completion& comp : done) {
-    const auto it = conns_.find(comp.conn_id);
-    if (it == conns_.end()) continue;
-    flush_ready(*it->second);
-  }
-}
-
-void Server::flush_ready(Connection& c) {
-  while (true) {
-    const auto dit = c.done.find(c.next_flush_seq);
-    if (dit == c.done.end()) break;
-    c.out_buf += dit->second;
-    c.done.erase(dit);
-    ++c.next_flush_seq;
-  }
-  const std::uint64_t id = c.id;
-  flush(c);  // may close and destroy c
-  const auto again = conns_.find(id);
-  if (again != conns_.end()) maybe_close(*again->second);
-}
-
-void Server::flush(Connection& c) {
+bool Server::Loop::flush(Connection& c) {
+  Metrics& metrics = server_.metrics_;
   const std::uint64_t t0 = now_ns();
   while (c.out_off < c.out_buf.size()) {
     std::size_t want = c.out_buf.size() - c.out_off;
     if (util::failpoint::any_active()) {
       const auto f = util::failpoint::hit("serve.write");
-      if (f.kind != util::failpoint::Kind::kOff)
-        metrics_.injected_faults.inc();
+      if (f.kind != util::failpoint::Kind::kOff) metrics.injected_faults.inc();
       if (f.kind == util::failpoint::Kind::kEintr) continue;
       if (f.kind == util::failpoint::Kind::kError) {
-        metrics_.write_ns.add(now_ns() - t0);
+        metrics.write_ns.add(now_ns() - t0);
         close_connection(c);  // simulated peer reset
-        return;
+        return false;
       }
       if (f.kind == util::failpoint::Kind::kShort) want = (want + 1) / 2;
     }
@@ -623,9 +721,9 @@ void Server::flush(Connection& c) {
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else {
-      metrics_.write_ns.add(now_ns() - t0);
+      metrics.write_ns.add(now_ns() - t0);
       close_connection(c);
-      return;
+      return false;
     }
   }
   if (c.out_off == c.out_buf.size()) {
@@ -635,19 +733,26 @@ void Server::flush(Connection& c) {
     c.out_buf.erase(0, c.out_off);
     c.out_off = 0;
   }
+  const std::size_t max_out = server_.config_.max_output_buffer;
   const bool want_write = c.out_off < c.out_buf.size();
-  const bool pause = c.out_buf.size() - c.out_off > config_.max_output_buffer;
-  const bool resume = c.reads_paused &&
-                      c.out_buf.size() - c.out_off < config_.max_output_buffer / 2;
+  const bool pause = c.out_buf.size() - c.out_off > max_out;
+  const bool resume = c.reads_paused && c.out_buf.size() - c.out_off < max_out / 2;
   if (want_write != c.want_write || pause != c.reads_paused || resume) {
     c.want_write = want_write;
     c.reads_paused = pause;
     update_epoll(c);
   }
-  metrics_.write_ns.add(now_ns() - t0);
+  metrics.write_ns.add(now_ns() - t0);
+  // A peer that is gone (EOF, or cut off for a protocol violation) is
+  // closed once its last answer is out.
+  if (c.peer_closed && c.idle()) {
+    close_connection(c);
+    return false;
+  }
+  return true;
 }
 
-void Server::update_epoll(Connection& c) {
+void Server::Loop::update_epoll(Connection& c) {
   epoll_event ev{};
   ev.data.u64 = c.id;
   ev.events = 0;
@@ -656,16 +761,14 @@ void Server::update_epoll(Connection& c) {
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, c.fd.get(), &ev);
 }
 
-void Server::on_writable(Connection& c) { flush(c); }
-
-void Server::maybe_close(Connection& c) {
-  if (c.peer_closed && c.idle() && c.done.empty()) close_connection(c);
-}
-
-void Server::close_connection(Connection& c) {
+void Server::Loop::close_connection(Connection& c) {
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, c.fd.get(), nullptr);
-  metrics_.connections_closed.inc();
+  server_.metrics_.connections_closed.inc();
   conns_.erase(c.id);  // destroys c
+  // The last connection to close lets loop 0 finish a drain.
+  if (server_.open_connections_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      server_.draining())
+    server_.loops_[0]->wake();
 }
 
 }  // namespace hoiho::serve

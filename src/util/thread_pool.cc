@@ -15,109 +15,9 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-// Shared scan_stalled body (contract in the header). The scanner reads
-// busy_since first, then task_seq: if the worker finishes and starts a new
-// task in between, the worst case is one stall attributed to the newer seq
-// — an off-by-one in attribution, never a double count.
-std::size_t scan_heartbeats(std::vector<Heartbeat>& hbs, std::vector<std::uint64_t>& reported,
-                            std::uint64_t threshold_ms) {
-  if (reported.size() != hbs.size()) reported.assign(hbs.size(), 0);
-  const std::uint64_t now = steady_now_ns();
-  const std::uint64_t threshold_ns = threshold_ms * 1'000'000ULL;
-  std::size_t fresh = 0;
-  for (std::size_t i = 0; i < hbs.size(); ++i) {
-    const std::uint64_t busy = hbs[i].busy_since_ns.load(std::memory_order_acquire);
-    if (busy == 0 || now - busy < threshold_ns) continue;
-    const std::uint64_t seq = hbs[i].task_seq.load(std::memory_order_acquire);
-    if (seq == reported[i]) continue;  // this episode already counted
-    reported[i] = seq;
-    ++fresh;
-  }
-  return fresh;
-}
-
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : queue_capacity_(queue_capacity == 0 ? 1 : queue_capacity) {
-  if (threads == 0) threads = 1;
-  executed_per_worker_.assign(threads, 0);
-  heartbeats_ = std::vector<Heartbeat>(threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i](std::stop_token stop) { worker(stop, i); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-  }
-  for (std::jthread& w : workers_) w.request_stop();
-  cv_work_.notify_all();
-  // jthread destructors join; workers drain the queue before exiting.
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mu_);
-    cv_room_.wait(lock, [this] { return queue_.size() < queue_capacity_ || stopping_; });
-    if (stopping_) return;  // shutting down: drop the task
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-    ++submitted_;
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
-  }
-  cv_work_.notify_one();
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  std::lock_guard lock(mu_);
-  Stats s{submitted_, executed_, queue_.size(), max_queue_depth_, {}};
-  s.workers.resize(executed_per_worker_.size());
-  for (std::size_t i = 0; i < executed_per_worker_.size(); ++i) {
-    s.workers[i].executed = executed_per_worker_[i];
-    s.workers[i].max_queue_depth = max_queue_depth_;  // shared queue: same high-water
-  }
-  return s;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker(std::stop_token stop, std::size_t index) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [&] { return !queue_.empty() || stopping_ || stop.stop_requested(); });
-      if (queue_.empty()) return;  // only leave once the queue is drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    cv_room_.notify_one();
-    Heartbeat& hb = heartbeats_[index];
-    hb.task_seq.fetch_add(1, std::memory_order_relaxed);
-    hb.busy_since_ns.store(steady_now_ns(), std::memory_order_release);
-    task();
-    hb.busy_since_ns.store(0, std::memory_order_release);
-    {
-      std::lock_guard lock(mu_);
-      --in_flight_;
-      ++executed_;
-      ++executed_per_worker_[index];
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-std::size_t ThreadPool::scan_stalled(std::uint64_t threshold_ms) {
-  return scan_heartbeats(heartbeats_, stall_reported_, threshold_ms);
-}
-
-std::size_t ThreadPool::resolve(std::size_t requested) {
+std::size_t resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -208,8 +108,24 @@ bool WorkStealingPool::wait_idle_for(std::chrono::milliseconds timeout) {
                            [this] { return in_flight_.load(std::memory_order_acquire) == 0; });
 }
 
+// The scanner reads busy_since first, then task_seq: if the worker
+// finishes and starts a new task in between, the worst case is one stall
+// attributed to the newer seq — an off-by-one in attribution, never a
+// double count.
 std::size_t WorkStealingPool::scan_stalled(std::uint64_t threshold_ms) {
-  return scan_heartbeats(heartbeats_, stall_reported_, threshold_ms);
+  if (stall_reported_.size() != heartbeats_.size()) stall_reported_.assign(heartbeats_.size(), 0);
+  const std::uint64_t now = steady_now_ns();
+  const std::uint64_t threshold_ns = threshold_ms * 1'000'000ULL;
+  std::size_t fresh = 0;
+  for (std::size_t i = 0; i < heartbeats_.size(); ++i) {
+    const std::uint64_t busy = heartbeats_[i].busy_since_ns.load(std::memory_order_acquire);
+    if (busy == 0 || now - busy < threshold_ns) continue;
+    const std::uint64_t seq = heartbeats_[i].task_seq.load(std::memory_order_acquire);
+    if (seq == stall_reported_[i]) continue;  // this episode already counted
+    stall_reported_[i] = seq;
+    ++fresh;
+  }
+  return fresh;
 }
 
 WorkStealingPool::Stats WorkStealingPool::stats() const {

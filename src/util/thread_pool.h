@@ -1,11 +1,4 @@
-// Worker pools for the per-suffix learning pipeline and the serving daemon.
-//
-// Two pools share this header:
-//
-//   * ThreadPool — a fixed-size worker pool over one bounded shared queue.
-//     submit() applies backpressure (blocks while the queue is at capacity),
-//     which is what the serving data plane wants: producers must slow down
-//     rather than balloon memory.
+// The learner's worker pool, plus the pieces the serving loops share with it.
 //
 //   * WorkStealingPool — per-worker deques with steal-from-back semantics,
 //     built for the learner's suffix fan-out where task sizes are heavily
@@ -16,9 +9,12 @@
 //     Workers pop their own deque from the front (big tasks start first) and
 //     steal from the back of a victim's deque when empty (stolen tasks are
 //     the smallest remaining, minimizing contention on the victim's lock).
+//   * Heartbeat — the watchdog stamp a pool worker (or a serve::Server event
+//     loop) sets per task, so another thread can spot one stuck past a limit.
+//   * resolve_threads — the shared meaning of a "0 = one per core" knob.
 //
-// Neither pool imposes an execution order on results: pipeline callers
-// write into index-addressed slots, so threads=1 and threads=N produce
+// The pool imposes no execution order on results: pipeline callers write
+// into index-addressed slots, so threads=1 and threads=N produce
 // byte-identical output regardless of which worker ran what.
 #pragma once
 
@@ -37,19 +33,17 @@
 
 namespace hoiho::util {
 
-// Watchdog heartbeat, one per worker (both pools). The worker bumps
-// task_seq and stamps busy_since_ns when it starts a task and zeroes
-// busy_since_ns when the task finishes; scan_stalled() reads them to count
-// workers stuck on one task past a threshold — one episode per task, so a
-// slow task is reported once, not once per scan.
+// Watchdog heartbeat, one per worker. The worker bumps task_seq and stamps
+// busy_since_ns when it starts a task and zeroes busy_since_ns when the task
+// finishes; a scanner reads them to count workers stuck on one task past a
+// threshold — one episode per task, so a slow task is reported once, not
+// once per scan.
 struct Heartbeat {
   std::atomic<std::uint64_t> busy_since_ns{0};  // 0 = idle
   std::atomic<std::uint64_t> task_seq{0};
 };
 
-// Per-worker accounting shared by both pools. For ThreadPool (one shared
-// queue) `stolen`/`steal_failures` are always zero and `max_queue_depth`
-// mirrors the shared queue's high-water mark.
+// Per-worker accounting of a WorkStealingPool.
 struct WorkerStats {
   std::uint64_t executed = 0;        // tasks this worker finished
   std::uint64_t stolen = 0;          // tasks it took from another worker's deque
@@ -57,68 +51,9 @@ struct WorkerStats {
   std::size_t max_queue_depth = 0;   // high-water mark of its own deque
 };
 
-class ThreadPool {
- public:
-  // Spawns `threads` workers (must be >= 1; use resolve() to map a user
-  // knob). `queue_capacity` bounds the number of queued-but-unstarted tasks.
-  explicit ThreadPool(std::size_t threads, std::size_t queue_capacity = 256);
-
-  // Requests stop and joins the workers; queued tasks are still drained
-  // (destruction is equivalent to wait_idle() then shutdown).
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task, blocking while the queue is full.
-  void submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished executing.
-  void wait_idle();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  // Queue accounting, maintained under the existing queue mutex (no extra
-  // synchronization on the task path). Consumers fold these into an
-  // obs::Registry — the pool itself stays dependency-free.
-  struct Stats {
-    std::uint64_t submitted = 0;       // tasks accepted by submit()
-    std::uint64_t executed = 0;        // tasks that finished running
-    std::size_t queue_depth = 0;       // queued-but-unstarted right now
-    std::size_t max_queue_depth = 0;   // high-water mark since construction
-    std::vector<WorkerStats> workers;  // per-worker executed counts
-  };
-  Stats stats() const;
-
-  // Counts workers that have been busy on one task for longer than
-  // `threshold_ms`, each stall episode reported once (keyed by the worker's
-  // task_seq). Call from a single scanner thread (e.g. a server event
-  // loop); the per-worker last-reported bookkeeping is not synchronized.
-  std::size_t scan_stalled(std::uint64_t threshold_ms);
-
-  // Maps a config knob to a worker count: 0 means "use the hardware"
-  // (hardware_concurrency, at least 1), anything else passes through.
-  static std::size_t resolve(std::size_t requested);
-
- private:
-  void worker(std::stop_token stop, std::size_t index);
-
-  std::vector<Heartbeat> heartbeats_;          // one per worker, fixed size
-  std::vector<std::uint64_t> stall_reported_;  // scanner-owned (see scan_stalled)
-  mutable std::mutex mu_;
-  std::condition_variable cv_room_;  // queue has room (producers wait here)
-  std::condition_variable cv_work_;  // queue has work, or stop requested
-  std::condition_variable cv_idle_;  // in-flight count reached zero
-  std::deque<std::function<void()>> queue_;
-  std::size_t queue_capacity_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  std::uint64_t submitted_ = 0;
-  std::uint64_t executed_ = 0;
-  std::size_t max_queue_depth_ = 0;
-  std::vector<std::uint64_t> executed_per_worker_;
-  bool stopping_ = false;
-  std::vector<std::jthread> workers_;  // last member: joins before the rest die
-};
+// Maps a thread-count knob to a count: 0 means "use the hardware"
+// (hardware_concurrency, at least 1), anything else passes through.
+std::size_t resolve_threads(std::size_t requested);
 
 // Suffix-sharding pool: per-worker deques, batch seeding, work stealing.
 //
@@ -151,7 +86,10 @@ class WorkStealingPool {
   // wait timed out (callers typically scan_stalled() and wait again).
   bool wait_idle_for(std::chrono::milliseconds timeout);
 
-  // Same contract as ThreadPool::scan_stalled (single scanner thread).
+  // Counts workers that have been busy on one task for longer than
+  // `threshold_ms`, each stall episode reported once (keyed by the worker's
+  // task_seq). Call from a single scanner thread; the per-worker
+  // last-reported bookkeeping is not synchronized.
   std::size_t scan_stalled(std::uint64_t threshold_ms);
 
   std::size_t thread_count() const { return workers_.size(); }

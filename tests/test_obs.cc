@@ -348,7 +348,7 @@ TEST(PipelineObs, ParallelRunMatchesSequentialCounters) {
   // The pool only spins up when the host has >1 core (the pipeline clamps
   // workers to hardware concurrency); single-core hosts run sequentially
   // and record no pool activity.
-  if (util::ThreadPool::resolve(0) > 1)
+  if (util::resolve_threads(0) > 1)
     EXPECT_GT(b.metrics.value("pipeline_pool_tasks_executed"), 0u);
   else
     EXPECT_EQ(b.metrics.value("pipeline_pool_tasks_executed"), 0u);

@@ -190,7 +190,7 @@ TEST(RunStream, ReportCarriesStreamIngestAndPoolMetrics) {
   EXPECT_EQ(report.metrics.value("ingest_records{source=\"stream\"}"), world.report().records);
   // The work-stealing pool executed every seeded task (only when the host
   // has the cores to spin it up — workers are clamped to hardware).
-  if (util::ThreadPool::resolve(0) > 1) {
+  if (util::resolve_threads(0) > 1) {
     const obs::Snapshot::Entry* executed = report.metrics.find("pipeline_pool_tasks_executed");
     ASSERT_NE(executed, nullptr);
     EXPECT_EQ(static_cast<std::uint64_t>(executed->gauge),

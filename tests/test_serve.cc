@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -199,6 +200,10 @@ TEST(Protocol, ParseAndFormatGensRollback) {
   EXPECT_EQ(parse_request("ROLLBACK ").error, "rollback_usage");
   EXPECT_EQ(parse_request("ROLLBACK seven").error, "rollback_usage");
   EXPECT_EQ(parse_request("ROLLBACK -1").error, "rollback_usage");
+  // 2^64 + 1 overflows: rejected, not wrapped around to generation 1.
+  EXPECT_EQ(parse_request("ROLLBACK 18446744073709551617").error, "rollback_usage");
+  EXPECT_EQ(parse_request("ROLLBACK 18446744073709551615").rollback_gen,
+            18446744073709551615u);
 
   EXPECT_EQ(format_gens(3, {}), "GENS,serving=3,archived=-");
   EXPECT_EQ(format_gens(3, {1, 2, 3}), "GENS,serving=3,archived=1;2;3");
@@ -650,8 +655,9 @@ TEST(Protocol, ParseGeobRequests) {
   // Usage errors: missing, zero, non-numeric, over-cap counts. The framing
   // probe returns nullopt for all of them — a malformed header must be
   // answered without consuming subject lines.
-  for (const char* bad : {"GEOB", "GEOB 0", "GEOB abc",
-                          "GEOB 1025" /* kMaxGeobBatch + 1 */}) {
+  for (const char* bad : {"GEOB", "GEOB 0", "GEOB abc", "GEOB -1",
+                          "GEOB 1025" /* kMaxGeobBatch + 1 */,
+                          "GEOB 18446744073709551617" /* 2^64 + 1, not 1 */}) {
     const Request r = parse_request(bad);
     EXPECT_EQ(r.kind, RequestKind::kGeoBatch) << bad;
     EXPECT_EQ(r.error, "geob_usage") << bad;
@@ -878,23 +884,93 @@ TEST(Server, ShedsAboveMaxInflight) {
   ModelStore store(dict);
   store.install(he_net_model(dict));
   ServerConfig config;
+  config.workers = 2;
   config.max_inflight = 1;
-  // One slow batch holds the single inflight slot; the next must shed.
-  ASSERT_TRUE(util::failpoint::configure("serve.process", "delay:200,times=1"));
   LiveServer server(store, config);
-  auto client = Client::connect("127.0.0.1", server->port());
-  ASSERT_TRUE(client.has_value());
-  ASSERT_TRUE(client->send_line("e0.cr1.ash1.he.net"));
+  // Connections 0 and 1 land on loops 0 and 1; a round trip on each makes
+  // sure both are registered before a slow batch occupies a loop.
+  auto slow = Client::connect("127.0.0.1", server->port());
+  auto other = Client::connect("127.0.0.1", server->port());
+  ASSERT_TRUE(slow.has_value());
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(classify_response(*slow->request("e0.cr1.ash1.he.net")), ResponseKind::kHit);
+  EXPECT_EQ(classify_response(*other->request("e0.cr1.ash1.he.net")), ResponseKind::kHit);
+  // One slow batch holds the single inflight slot on one loop; a batch
+  // read meanwhile on the other loop must shed.
+  ASSERT_TRUE(util::failpoint::configure("serve.process", "delay:200,times=1"));
+  EXPECT_TRUE(slow->send_line("e0.cr1.ash1.he.net"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(client->send_line("e0.cr1.ash1.he.net"));
-  const auto first = client->read_line();
-  const auto second = client->read_line();
+  const auto shed = other->request("e0.cr1.ash1.he.net");
+  const auto held = slow->read_line();
   util::failpoint::reset();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(classify_response(*first), ResponseKind::kHit) << *first;
-  EXPECT_EQ(*second, "ERR,busy");
+  ASSERT_TRUE(shed.has_value());
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(*shed, "ERR,busy");
+  EXPECT_EQ(classify_response(*held), ResponseKind::kHit) << *held;
   EXPECT_EQ(server->metrics().shed_busy.load(), 1u);
+}
+
+TEST(Server, ConnectionsOnDifferentLoopsAreAnsweredInParallel) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  ModelStore store(dict);
+  store.install(he_net_model(dict));
+  ServerConfig config;
+  config.workers = 2;
+  LiveServer server(store, config);
+  auto a = Client::connect("127.0.0.1", server->port());
+  auto b = Client::connect("127.0.0.1", server->port());
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(classify_response(*a->request("e0.cr1.ash1.he.net")), ResponseKind::kHit);
+  EXPECT_EQ(classify_response(*b->request("e0.cr1.ash1.he.net")), ResponseKind::kHit);
+  ASSERT_TRUE(util::failpoint::configure("serve.process", "delay:200"));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(a->send_line("e0.cr1.ash1.he.net"));
+  EXPECT_TRUE(b->send_line("e0.cr1.lhr1.he.net"));
+  const auto ra = a->read_line();
+  const auto rb = b->read_line();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  util::failpoint::reset();
+  ASSERT_TRUE(ra.has_value());
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_NE(ra->find("ash,learned"), std::string::npos) << *ra;
+  EXPECT_NE(rb->find("lhr,dictionary"), std::string::npos) << *rb;
+  // Connection k sits on loop k mod 2, so the two delays overlap: both
+  // answers arrive after about one delay, not two back to back.
+  EXPECT_GE(waited, std::chrono::milliseconds(200));
+  EXPECT_LT(waited, std::chrono::milliseconds(360));
+}
+
+TEST(Server, WatchdogCountsEachStalledBatchOnce) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  for (const std::size_t loops : {1, 2}) {
+    ModelStore store(dict);
+    store.install(he_net_model(dict));
+    ServerConfig config;
+    config.workers = loops;
+    config.worker_stall_ms = 50;
+    config.tick_ms = 10;
+    LiveServer server(store, config);
+    std::vector<Client> clients;  // client k on loop k
+    for (std::size_t k = 0; k < loops; ++k) {
+      auto c = Client::connect("127.0.0.1", server->port());
+      ASSERT_TRUE(c.has_value());
+      EXPECT_EQ(classify_response(*c->request("e0.cr1.ash1.he.net")), ResponseKind::kHit);
+      clients.push_back(std::move(*c));
+    }
+    // One delayed batch per loop, one after the other. Loop 1's is seen by
+    // loop 0's tick scan while it runs and by loop 1 when it finishes;
+    // loop 0's, and the only loop's, only by the loop itself.
+    ASSERT_TRUE(util::failpoint::configure("serve.process", "delay:200"));
+    std::vector<std::optional<std::string>> answers;
+    for (Client& c : clients) answers.push_back(c.request("e0.cr1.ash1.he.net"));
+    util::failpoint::reset();
+    for (const auto& resp : answers) {
+      ASSERT_TRUE(resp.has_value());
+      EXPECT_EQ(classify_response(*resp), ResponseKind::kHit) << *resp;
+    }
+    EXPECT_EQ(server->metrics().worker_stalled.load(), loops) << loops << " loop(s)";
+  }
 }
 
 TEST(Server, IdleConnectionsAreReaped) {

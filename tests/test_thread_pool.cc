@@ -10,96 +10,10 @@
 namespace hoiho::util {
 namespace {
 
-TEST(ThreadPool, ResolveMapsZeroToHardware) {
-  EXPECT_GE(ThreadPool::resolve(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve(1), 1u);
-  EXPECT_EQ(ThreadPool::resolve(7), 7u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  for (int i = 0; i < 1000; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  std::atomic<int> count{0};
-  ThreadPool pool(2);
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 50 * (batch + 1));
-  }
-}
-
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  // Far more tasks than queue slots: submit() must block rather than drop.
-  std::atomic<int> count{0};
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, SingleWorkerNeverOverlapsTasks) {
-  std::atomic<int> running{0};
-  std::atomic<int> max_running{0};
-  ThreadPool pool(1);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] {
-      const int now = running.fetch_add(1) + 1;
-      int prev = max_running.load();
-      while (now > prev && !max_running.compare_exchange_weak(prev, now)) {
-      }
-      running.fetch_sub(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(max_running.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    // No wait_idle(): destruction must still run everything queued.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // nothing submitted
-  SUCCEED();
-}
-
-TEST(ThreadPool, StatsCarryPerWorkerExecutedCounts) {
-  ThreadPool pool(3);
-  for (int i = 0; i < 60; ++i) pool.submit([] {});
-  pool.wait_idle();
-  const ThreadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, 60u);
-  EXPECT_EQ(stats.executed, 60u);
-  ASSERT_EQ(stats.workers.size(), 3u);
-  std::uint64_t sum = 0;
-  for (const WorkerStats& w : stats.workers) {
-    sum += w.executed;
-    EXPECT_EQ(w.stolen, 0u);  // the shared-queue pool never steals
-    EXPECT_EQ(w.steal_failures, 0u);
-  }
-  EXPECT_EQ(sum, 60u);
+TEST(ResolveThreads, MapsZeroToHardware) {
+  EXPECT_GE(resolve_threads(0), 1u);
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(7), 7u);
 }
 
 TEST(WorkStealingPool, SeedRunsEveryTask) {
@@ -204,27 +118,6 @@ TEST(WorkStealingPool, TracksMaxQueueDepth) {
   // 100 tasks round-robined over 2 deques: each deque held up to 50 at once.
   EXPECT_GE(pool.stats().max_queue_depth, 25u);
   EXPECT_LE(pool.stats().max_queue_depth, 50u);
-}
-
-TEST(ThreadPool, ScanStalledReportsEachSlowTaskOnce) {
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  // Poll until the watchdog sees the worker stuck past the threshold (the
-  // submit -> task-start handoff time is scheduler-dependent).
-  std::size_t stalled = 0;
-  for (int i = 0; i < 400 && stalled == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    stalled = pool.scan_stalled(10);
-  }
-  EXPECT_EQ(stalled, 1u);
-  // Same task, same episode: a stall is reported once, not once per scan.
-  EXPECT_EQ(pool.scan_stalled(10), 0u);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(pool.scan_stalled(10), 0u);  // idle workers never count
 }
 
 TEST(WorkStealingPool, ScanStalledPairsWithWaitIdleFor) {
