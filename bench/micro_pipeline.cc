@@ -91,18 +91,6 @@ void BM_FullSuffixRun(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSuffixRun);
 
-void BM_FullSuffixRunUncached(benchmark::State& state) {
-  const Workload& w = workload();
-  core::HoihoConfig config;
-  config.consistency_cache = false;
-  const core::Hoiho hoiho(*w.world.dict, config);
-  for (auto _ : state) {
-    auto result = hoiho.run_suffix(w.group, w.meas);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_FullSuffixRunUncached);
-
 }  // namespace
 
 BENCHMARK_MAIN();

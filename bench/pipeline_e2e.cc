@@ -1,7 +1,7 @@
 // End-to-end pipeline performance bench: runs the full five-stage method
 // over a multi-operator world and reports wall time, hostname throughput,
-// and consistency-cache hit rate for the uncached baseline, the cached
-// sequential run, and cached runs at increasing thread counts.
+// and consistency-cache hit rate for the sequential run and runs at
+// increasing thread counts.
 //
 // Every timed run carries a live obs::Registry (so the numbers include the
 // steady-state instrumentation cost, which is what production pays), and
@@ -14,7 +14,7 @@
 // Scale tiers (--scale={S,M,L,XL}, default S):
 //
 //   S   48-operator materialized world, the historical CI baseline corpus
-//       (uncached/legacy/cached x thread-count matrix, BENCH_PIPELINE.json).
+//       (cached_{1,2,4,N}t thread-count rows, BENCH_PIPELINE.json).
 //   M   200-suffix / ~20k-hostname streaming world   (perf-smoke in CI)
 //   L   1000-suffix / ~100k-hostname streaming world (the ISSUE target)
 //   XL  10000-suffix / ~1M-hostname streaming world  (manual / nightly only)
@@ -31,11 +31,13 @@
 // from the machine that produced this revision.
 #include <sys/stat.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sstream>
@@ -57,8 +59,6 @@ namespace {
 struct RunResult {
   std::string label;
   std::size_t threads = 1;
-  bool cache = true;
-  bool compiled = true;
   double wall_ms = 0;
   double hostnames_per_sec = 0;
   obs::Snapshot snap;  // rep-0 registry snapshot (counters for one full run)
@@ -90,8 +90,6 @@ void time_one_rep(RunResult& out, const sim::World& world, const measure::Measur
                   std::size_t hostnames) {
   core::HoihoConfig config;
   config.threads = out.threads;
-  config.consistency_cache = out.cache;
-  config.compiled_regex = out.compiled;
   // Fresh registry per rep: each snapshot covers exactly one run, and the
   // timing includes the armed-counter cost every rep.
   obs::Registry registry;
@@ -517,6 +515,13 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: pipeline_e2e [--scale={S,M,L,XL}] [--checkpoint-dir=DIR] "
+               "[--delta-frac=F] [out.json] [reps]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -525,21 +530,39 @@ int main(int argc, char** argv) {
   double delta_frac = 0;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--checkpoint-dir=", 17) == 0) {
-      checkpoint_dir = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--delta-frac=", 13) == 0) {
-      delta_frac = std::atof(argv[i] + 13);
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--scale=")) {
+      scale = arg.substr(8);
+    } else if (arg.starts_with("--checkpoint-dir=")) {
+      checkpoint_dir = arg.substr(17);
+    } else if (arg.starts_with("--delta-frac=")) {
+      const std::string_view v = arg.substr(13);
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), delta_frac);
+      if (ec != std::errc() || end != v.data() + v.size() || !std::isfinite(delta_frac)) {
+        std::fprintf(stderr, "pipeline_e2e: --delta-frac: '%.*s' is not a number\n",
+                     static_cast<int>(v.size()), v.data());
+        return usage();
+      }
+    } else if (arg.starts_with("-")) {
+      std::fprintf(stderr, "pipeline_e2e: unknown flag '%s'\n", argv[i]);
+      return usage();
     } else {
       positional.push_back(argv[i]);
     }
   }
-  if (scale != "S" && scale != "M" && scale != "L" && scale != "XL") {
-    std::fprintf(stderr,
-                 "usage: pipeline_e2e [--scale={S,M,L,XL}] [--checkpoint-dir=DIR] "
-                 "[--delta-frac=F] [out.json] [reps]\n");
-    return 2;
+  if (scale != "S" && scale != "M" && scale != "L" && scale != "XL") return usage();
+  if (positional.size() > 2) {
+    std::fprintf(stderr, "pipeline_e2e: unexpected argument '%s'\n", positional[2].c_str());
+    return usage();
+  }
+  int reps = scale == "S" ? 3 : scale == "M" ? 2 : 1;
+  if (positional.size() > 1) {
+    const std::string& v = positional[1];
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), reps);
+    if (ec != std::errc() || end != v.data() + v.size() || reps < 1) {
+      std::fprintf(stderr, "pipeline_e2e: reps: '%s' is not a positive integer\n", v.c_str());
+      return usage();
+    }
   }
   if (!checkpoint_dir.empty() && scale == "S") {
     std::fprintf(stderr, "pipeline_e2e: --checkpoint-dir applies to the streaming "
@@ -554,9 +577,6 @@ int main(int argc, char** argv) {
   const std::string default_out =
       scale == "S" ? "BENCH_PIPELINE.json" : "BENCH_PIPELINE_" + scale + ".json";
   const std::string out_path = positional.size() > 0 ? positional[0] : default_out;
-  const int default_reps = scale == "S" ? 3 : scale == "M" ? 2 : 1;
-  const int reps =
-      std::max(1, positional.size() > 1 ? std::atoi(positional[1].c_str()) : default_reps);
 
   if (scale != "S") return run_stream_tier(scale, out_path, reps, checkpoint_dir, delta_frac);
 
@@ -579,34 +599,26 @@ int main(int argc, char** argv) {
               world.operators.size(), world.topology.size(), hostnames, groups.size(), hw, reps);
 
   std::vector<RunResult> runs;
-  const auto spec = [](std::string label, std::size_t threads, bool cache, bool compiled) {
+  std::vector<std::size_t> thread_counts = {1, 2, 4};
+  if (hw > 4) thread_counts.push_back(hw);
+  for (const std::size_t threads : thread_counts) {
     RunResult r;
-    r.label = std::move(label);
+    r.label = "cached_" + std::to_string(threads) + "t";
     r.threads = threads;
-    r.cache = cache;
-    r.compiled = compiled;
-    return r;
-  };
-  runs.push_back(spec("uncached_1t", 1, false, true));
-  runs.push_back(spec("legacy_1t", 1, true, false));
-  runs.push_back(spec("cached_1t", 1, true, true));
-  runs.push_back(spec("cached_2t", 2, true, true));
-  runs.push_back(spec("cached_4t", 4, true, true));
-  if (hw > 4) runs.push_back(spec("cached_" + std::to_string(hw) + "t", hw, true, true));
+    runs.push_back(std::move(r));
+  }
   // Interleave: rep r of every configuration before rep r+1 of any, so
   // process-wide drift spreads evenly across labels.
   for (int rep = 0; rep < reps; ++rep)
     for (RunResult& r : runs) time_one_rep(r, world, pings, hostnames);
 
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"run", "threads", "cache", "engine", "wall ms", "hostnames/s", "hit rate",
+  rows.push_back({"run", "threads", "wall ms", "hostnames/s", "hit rate",
                   "tag/regex/eval/learn ms", "usable NCs"});
   for (const RunResult& r : runs) {
     char hit[32];
     std::snprintf(hit, sizeof hit, "%.1f%%", 100.0 * r.hit_rate());
-    rows.push_back({r.label, std::to_string(r.threads), r.cache ? "on" : "off",
-                    r.compiled ? "compiled" : "ast",
-                    fmt3(r.wall_ms),
+    rows.push_back({r.label, std::to_string(r.threads), fmt3(r.wall_ms),
                     fmt3(r.hostnames_per_sec), hit,
                     fmt3(r.stage_ms("tag")) + "/" + fmt3(r.stage_ms("regex_gen")) + "/" +
                         fmt3(r.stage_ms("eval")) + "/" + fmt3(r.stage_ms("learn")),
@@ -614,16 +626,8 @@ int main(int argc, char** argv) {
   }
   bench::print_table(rows);
 
-  const std::size_t i_cached = 2;  // "cached_1t"
-  const double cache_speedup =
-      runs[i_cached].wall_ms <= 0 ? 0 : runs[0].wall_ms / runs[i_cached].wall_ms;
-  const double compiled_speedup =
-      runs[i_cached].wall_ms <= 0 ? 0 : runs[1].wall_ms / runs[i_cached].wall_ms;
-  const double scale4 =
-      runs[i_cached + 2].wall_ms <= 0 ? 0 : runs[i_cached].wall_ms / runs[i_cached + 2].wall_ms;
-  std::printf("\ncache speedup (1 thread): %.2fx; compiled-engine speedup over AST: %.2fx; "
-              "4-thread speedup over 1: %.2fx\n",
-              cache_speedup, compiled_speedup, scale4);
+  const double scale4 = runs[2].wall_ms <= 0 ? 0 : runs[0].wall_ms / runs[2].wall_ms;
+  std::printf("\n4-thread speedup over 1: %.2fx\n", scale4);
 
   // One untimed run to materialize the learned model, then the per-format
   // save/load costs (the numbers BENCH_MODEL.json tracks at larger scales).
@@ -654,8 +658,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     out << "    {\"label\": \"" << r.label << "\", \"threads\": " << r.threads
-        << ", \"consistency_cache\": " << (r.cache ? "true" : "false")
-        << ", \"compiled_regex\": " << (r.compiled ? "true" : "false")
         << ", \"wall_ms\": " << fmt3(r.wall_ms)
         << ", \"hostnames_per_sec\": " << fmt3(r.hostnames_per_sec)
         << ", \"cache_hit_rate\": " << fmt3(r.hit_rate())
@@ -670,9 +672,7 @@ int main(int argc, char** argv) {
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"derived\": {\"cache_speedup_1t\": " << fmt3(cache_speedup)
-      << ", \"compiled_speedup_1t\": " << fmt3(compiled_speedup)
-      << ", \"speedup_4t_vs_1t\": " << fmt3(scale4) << "}\n";
+  out << "  \"derived\": {\"speedup_4t_vs_1t\": " << fmt3(scale4) << "}\n";
   out << "}\n";
   if (!out) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());

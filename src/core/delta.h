@@ -60,9 +60,8 @@ std::uint64_t vp_set_hash(const std::vector<measure::VantagePoint>& vps);
 
 // Fingerprint of every HoihoConfig knob that shapes learned output (the
 // config half of the checkpoint signature; stream identity excluded).
-// Output-invariant knobs — threads, caches, compiled_regex, observability
-// sinks — are excluded, so a prior run taken at threads=8 serves a delta
-// run at threads=1.
+// Output-invariant knobs — threads, observability sinks — are excluded, so
+// a prior run taken at threads=8 serves a delta run at threads=1.
 std::uint64_t learn_signature(const HoihoConfig& config, std::size_t dict_size);
 
 // Canonical model order: sorted by suffix (duplicates keep input order).

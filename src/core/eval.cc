@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "regex/matcher.h"
 #include "util/strings.h"
 
 namespace hoiho::core {
@@ -84,15 +83,10 @@ HostnameEval Evaluator::evaluate_one(const NamingConvention& nc,
                                      const TaggedHostname& tagged) const {
   // Apply regexes in order; first match interprets the hostname.
   bool exhausted = false;
-  const dns::Hostname& host = *tagged.ref.hostname;
-  std::optional<Extraction> ex;
-  if (use_compiled_) {
-    progs_tmp_.clear();
-    for (const GeoRegex& gr : nc.regexes) progs_tmp_.push_back(&program_for(gr));
-    ex = extract_compiled(nc, progs_tmp_, host, &exhausted);
-  } else {
-    ex = extract(nc, host, &exhausted);
-  }
+  progs_tmp_.clear();
+  for (const GeoRegex& gr : nc.regexes) progs_tmp_.push_back(&program_for(gr));
+  const std::optional<Extraction> ex =
+      extract_compiled(nc, progs_tmp_, *tagged.ref.hostname, &exhausted);
   HostnameEval ev = evaluate_extraction(nc.learned, tagged, ex, /*details=*/true);
   ev.budget_exhausted = exhausted;
   return ev;
@@ -211,16 +205,12 @@ NcEvaluation Evaluator::evaluate_impl(const NamingConvention& nc,
   // Resolve the NC's programs once per call — memo lookup keys by the
   // printed pattern, far too expensive to recompute per hostname. Pointers
   // stay valid across inserts (node-based map).
-  if (use_compiled_) {
-    progs_tmp_.clear();
-    for (const GeoRegex& gr : nc.regexes) progs_tmp_.push_back(&program_for(gr));
-  }
+  progs_tmp_.clear();
+  for (const GeoRegex& gr : nc.regexes) progs_tmp_.push_back(&program_for(gr));
   for (const TaggedHostname& th : tagged) {
     bool exhausted = false;
-    const dns::Hostname& host = *th.ref.hostname;
-    const std::optional<Extraction> ex = use_compiled_
-                                             ? extract_compiled(nc, progs_tmp_, host, &exhausted)
-                                             : extract(nc, host, &exhausted);
+    const std::optional<Extraction> ex =
+        extract_compiled(nc, progs_tmp_, *th.ref.hostname, &exhausted);
     HostnameEval ev = evaluate_extraction(nc.learned, th, ex, details);
     ev.budget_exhausted = exhausted;
     accumulate(out, std::move(ev), details);
@@ -244,16 +234,6 @@ std::vector<NcEvaluation> Evaluator::evaluate_candidates(
 
   std::vector<NcEvaluation> out(candidates.size());
   if (candidates.empty()) return out;
-  if (!use_compiled_) {
-    // Oracle path: score each candidate as its own single-regex NC.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      NamingConvention nc;
-      nc.regexes.push_back(candidates[i]);
-      out[i] = evaluate(nc, tagged);
-    }
-    return out;
-  }
-
   for (NcEvaluation& ev : out) {
     ev.per_hostname.reserve(tagged.size());
     ev.regex_unique_tp.resize(1);

@@ -96,12 +96,6 @@ class Evaluator {
 
   HostnameEval evaluate_one(const NamingConvention& nc, const TaggedHostname& tagged) const;
 
-  // Engine selection: compiled rx::Program execution (default) or the AST
-  // backtracker. Both produce byte-identical results (the differential test
-  // holds them to it); the knob exists for that test and for A/B benches.
-  void set_use_compiled(bool on) { use_compiled_ = on; }
-  bool use_compiled() const { return use_compiled_; }
-
   // Ranks candidate locations the way stage 4 does (facility, then
   // population, then id for determinism) and returns the best.
   geo::LocationId choose_location(std::span<const geo::LocationId> ids) const;
@@ -126,7 +120,8 @@ class Evaluator {
  private:
   // The shared scoring core: everything after extraction (dictionary
   // lookup through `learned` then the reference dictionary, annotation
-  // narrowing, RTT consistency, completeness). Both engines funnel here.
+  // narrowing, RTT consistency, completeness). Every evaluation path
+  // funnels here.
   // `details` false skips materializing ev.locations / ev.best_location
   // (counts and outcome are unaffected).
   HostnameEval evaluate_extraction(const std::map<LearnedKey, geo::LocationId>& learned,
@@ -142,8 +137,9 @@ class Evaluator {
   // resolution out of per-hostname loops.
   const rx::Program& program_for(const GeoRegex& gr) const;
 
-  // extract() over programs pre-resolved for one NC; first regex with a
-  // primary code wins. `progs` is parallel to nc.regexes.
+  // extract() (the AST engine, kept as the test oracle) over programs
+  // pre-resolved for one NC; first regex with a primary code wins. `progs`
+  // is parallel to nc.regexes.
   std::optional<Extraction> extract_compiled(const NamingConvention& nc,
                                              std::span<const rx::Program* const> progs,
                                              const dns::Hostname& host,
@@ -153,7 +149,6 @@ class Evaluator {
   const measure::Measurements& meas_;
   double slack_ms_;
   measure::ConsistencyCache* cache_;
-  bool use_compiled_ = true;
   mutable std::unordered_map<std::string, rx::Program> programs_;
   mutable rx::MatchScratch scratch_;
   mutable std::vector<rx::Capture> caps_;

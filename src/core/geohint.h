@@ -130,10 +130,12 @@ struct Extraction {
   std::string cc, st;
 };
 
-// Applies `nc` to `host` (first matching regex wins); nullopt if no regex
-// matches or the match yields no primary code. When `budget_exhausted` is
-// non-null it is set to true if any regex abandoned its match on the
-// backtracking work bound (the nullopt is then inconclusive).
+// Applies `nc` to `host` (first matching regex wins) on the AST
+// backtracker (rx::match); nullopt if no regex matches or the match yields
+// no primary code. When `budget_exhausted` is non-null it is set to true if
+// any regex abandoned its match on the backtracking work bound (the nullopt
+// is then inconclusive). The pipeline runs the compiled engine; this is the
+// oracle tests hold it to (tests/test_regex_differential.cc).
 std::optional<Extraction> extract(const NamingConvention& nc, const dns::Hostname& host,
                                   bool* budget_exhausted = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -53,7 +54,10 @@ struct Hoiho::PipelineMetrics {
   obs::Counter suffixes, suffixes_skipped, suffixes_usable;
   obs::Counter hostnames, tagged_hostnames;
   obs::Counter candidates_generated, ncs_built, learned_hints;
-  obs::Counter stage_us_tag, stage_us_regex, stage_us_eval, stage_us_learn;
+  // Fed by the stage spans (obs::Span's µs sink), tracer or not.
+  struct StageUs {
+    obs::Counter tag, regex_gen, eval, learn;
+  } stage_us;
   obs::Counter cache_hits, cache_misses, cache_prefilter_rejects, cache_bypasses;
   obs::Counter rx_subjects, rx_candidates, rx_programs_run, rx_hits, rx_programs_compiled;
   obs::Counter budget_exhausted;
@@ -78,10 +82,10 @@ struct Hoiho::PipelineMetrics {
         candidates_generated(r.counter("pipeline_candidates_generated")),
         ncs_built(r.counter("pipeline_ncs_built")),
         learned_hints(r.counter("pipeline_learned_hints")),
-        stage_us_tag(r.counter("pipeline_stage_us{stage=\"tag\"}")),
-        stage_us_regex(r.counter("pipeline_stage_us{stage=\"regex_gen\"}")),
-        stage_us_eval(r.counter("pipeline_stage_us{stage=\"eval\"}")),
-        stage_us_learn(r.counter("pipeline_stage_us{stage=\"learn\"}")),
+        stage_us{r.counter("pipeline_stage_us{stage=\"tag\"}"),
+                 r.counter("pipeline_stage_us{stage=\"regex_gen\"}"),
+                 r.counter("pipeline_stage_us{stage=\"eval\"}"),
+                 r.counter("pipeline_stage_us{stage=\"learn\"}")},
         cache_hits(r.counter("consistency_cache_hits")),
         cache_misses(r.counter("consistency_cache_misses")),
         cache_prefilter_rejects(r.counter("consistency_cache_prefilter_rejects")),
@@ -114,31 +118,89 @@ struct Hoiho::PipelineMetrics {
         suffix_ns(r.histogram("pipeline_suffix_ns")),
         pool_queue_wait_ns(r.histogram("pool_queue_wait_ns")) {}
 
-  // Folds one pool's stats into the registry: the aggregate counters plus a
-  // per-worker depth/executed gauge pair, labelled by worker index. The
-  // labelled gauges replace the old single pipeline_pool_max_queue_depth
-  // gauge — a shared high-water mark hid which deque actually backed up.
-  void fold_pool(const util::WorkStealingPool::Stats& ps) {
-    pool_tasks_submitted.add(static_cast<std::int64_t>(ps.submitted));
-    pool_tasks_executed.add(static_cast<std::int64_t>(ps.executed));
-    pool_tasks_stolen.add(ps.tasks_stolen);
-    pool_steal_failures.add(ps.steal_failures);
+  // Folds a pool's work since `prev` (its stats at the previous fold) into
+  // the registry: the aggregate counters plus a per-worker depth/executed
+  // gauge pair, labelled by worker index. The labelled gauges replace the
+  // old single pipeline_pool_max_queue_depth gauge — a shared high-water
+  // mark hid which deque actually backed up.
+  void fold_pool(const util::WorkStealingPool::Stats& ps,
+                 const util::WorkStealingPool::Stats& prev) {
+    pool_tasks_submitted.add(static_cast<std::int64_t>(ps.submitted - prev.submitted));
+    pool_tasks_executed.add(static_cast<std::int64_t>(ps.executed - prev.executed));
+    pool_tasks_stolen.add(ps.tasks_stolen - prev.tasks_stolen);
+    pool_steal_failures.add(ps.steal_failures - prev.steal_failures);
     for (std::size_t w = 0; w < ps.workers.size(); ++w) {
       const std::string label = "{worker=\"" + std::to_string(w) + "\"}";
       obs::Gauge depth = registry->gauge("pipeline_pool_max_queue_depth" + label);
       depth.set(std::max(depth.load(), static_cast<std::int64_t>(ps.workers[w].max_queue_depth)));
       registry->gauge("pipeline_pool_worker_executed" + label)
-          .add(static_cast<std::int64_t>(ps.workers[w].executed));
+          .add(static_cast<std::int64_t>(ps.workers[w].executed - prev.workers[w].executed));
     }
+  }
+
+  void note_peak_rss() {
+    peak_rss_bytes.set(
+        std::max(peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
   }
 };
 
+// The learner's pool for one run. learn_groups starts it on first use and
+// folds its stats into the registry after every fan-out; run_stream keeps
+// one across all its batches.
+struct Hoiho::Workers {
+  std::optional<util::WorkStealingPool> pool;
+  util::WorkStealingPool::Stats folded;  // pool stats already in the registry
+};
+
+namespace {
+
+// Dictionaries x VP sets above this many cells (locations x VPs) skip the
+// eager grid build and the suffix caches memoize expected RTTs lazily per
+// location: a 10k-location CSV dictionary against 1k VPs would be 10M
+// haversines and 80 MB up front.
+constexpr std::size_t kMaxGridCells = 4u << 20;
+
+// Drops a result's per-hostname payloads, which point into the batch that
+// owns the hostnames; aggregate counts, the NC, learned hints and the class
+// survive. Keeps streamed and chained-delta results safe and small.
+void compact(SuffixResult& sr) {
+  std::vector<TaggedHostname>().swap(sr.tagged);
+  std::vector<HostnameEval>().swap(sr.eval.per_hostname);
+}
+
+// Fingerprints every config knob that changes learned output
+// (learn_signature, shared with incremental relearning) plus the stream
+// identity, so a checkpoint written under one config/world never resumes
+// under another. Output-invariant knobs (threads, observability pointers)
+// are excluded by learn_signature.
+std::uint64_t checkpoint_signature(const HoihoConfig& c, const io::SuffixStream& stream,
+                                   std::size_t dict_size) {
+  io::StreamSignature sig;
+  sig.mix(learn_signature(c, dict_size)).mix(stream.signature());
+  return sig.value();
+}
+
+// A run plus its observability report, on the config's registry/tracer or,
+// when those are null, on private ones scoped to this call.
+template <typename Run>
+RunReport report_run(const HoihoConfig& config, Run run) {
+  std::optional<obs::Registry> own_registry;
+  std::optional<obs::Tracer> own_tracer;
+  obs::Registry* registry = config.registry != nullptr ? config.registry : &own_registry.emplace();
+  obs::Tracer* tracer = config.tracer != nullptr ? config.tracer : &own_tracer.emplace();
+  RunReport report;
+  report.result = run(registry, tracer);
+  report.metrics = registry->snapshot();
+  report.spans = tracer->spans();
+  report.dropped_spans = tracer->dropped();
+  return report;
+}
+
+}  // namespace
+
 std::shared_ptr<const measure::ExpectedRttGrid> Hoiho::expected_rtt_grid(
     const measure::Measurements& meas) const {
-  if (!config_.expected_rtt_grid || meas.vps.empty() ||
-      dict_.size() * meas.vps.size() > config_.max_grid_cells) {
-    return nullptr;
-  }
+  if (meas.vps.empty() || dict_.size() * meas.vps.size() > kMaxGridCells) return nullptr;
   GridCache& gc = *grid_cache_;
   const std::scoped_lock lock(gc.mu);
   const auto same_vps = [&] {
@@ -170,22 +232,14 @@ SuffixResult Hoiho::run_suffix_instrumented(const topo::SuffixGroup& group,
   obs::Span span(tracer, "suffix", group.suffix);
   span.set_work(group.hostnames.size());
 
-  SuffixResult result;
-  StageTimes stages;
-  measure::ConsistencyCache::Stats cache_stats;
-  if (!config_.consistency_cache) {
-    result = run_suffix_impl(group, meas, nullptr, pm, tracer, stages);
-  } else {
-    // One cache per suffix run, shared by stages 2-4. The cache is used from
-    // this thread only; cross-suffix parallelism in run() gives each worker
-    // its own cache. The expected-RTT grid behind it IS shared across
-    // workers (immutable once built).
-    const std::shared_ptr<const measure::ExpectedRttGrid> grid = expected_rtt_grid(meas);
-    measure::ConsistencyCache cache(meas, dict_.size(), config_.apparent.slack_ms,
-                                    /*prefilter=*/true, grid.get());
-    result = run_suffix_impl(group, meas, &cache, pm, tracer, stages);
-    cache_stats = cache.stats();
-  }
+  // One cache per suffix run, shared by stages 2-4. The cache is used from
+  // this thread only; cross-suffix parallelism gives each worker its own
+  // cache. The expected-RTT grid behind it IS shared across workers
+  // (immutable once built).
+  const std::shared_ptr<const measure::ExpectedRttGrid> grid = expected_rtt_grid(meas);
+  measure::ConsistencyCache cache(meas, dict_.size(), config_.apparent.slack_ms,
+                                  /*prefilter=*/true, grid.get());
+  SuffixResult result = run_suffix_impl(group, meas, cache, pm, tracer);
   // Stamp the content fingerprint on every path (skipped suffixes too):
   // incremental runs diff against it, and a prior entry without one would
   // read as always-dirty.
@@ -198,51 +252,31 @@ SuffixResult Hoiho::run_suffix_instrumented(const topo::SuffixGroup& group,
     if (result.usable()) pm->suffixes_usable.inc();
     pm->learned_hints.add(result.learned.size());
     pm->budget_exhausted.add(result.eval.counts.budget_exhausted);
-    pm->stage_us_tag.add(static_cast<std::uint64_t>(stages.tag_ms * 1e3));
-    pm->stage_us_regex.add(static_cast<std::uint64_t>(stages.regex_ms * 1e3));
-    pm->stage_us_eval.add(static_cast<std::uint64_t>(stages.eval_ms * 1e3));
-    pm->stage_us_learn.add(static_cast<std::uint64_t>(stages.learn_ms * 1e3));
-    pm->cache_hits.add(cache_stats.hits);
-    pm->cache_misses.add(cache_stats.misses);
-    pm->cache_prefilter_rejects.add(cache_stats.prefilter_rejects);
-    pm->cache_bypasses.add(cache_stats.bypasses);
+    const measure::ConsistencyCache::Stats& cs = cache.stats();
+    pm->cache_hits.add(cs.hits);
+    pm->cache_misses.add(cs.misses);
+    pm->cache_prefilter_rejects.add(cs.prefilter_rejects);
+    pm->cache_bypasses.add(cs.bypasses);
     pm->suffix_ns.observe(static_cast<double>(obs::Tracer::now_ns() - t0));
   }
   return result;
 }
 
-namespace {
-
-// Accumulates wall time into a StageTimes field across interleaved stages.
-class Stopwatch {
- public:
-  explicit Stopwatch(double& sink) : sink_(sink), t0_(std::chrono::steady_clock::now()) {}
-  ~Stopwatch() {
-    sink_ += std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0_)
-                 .count();
-  }
-
- private:
-  double& sink_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-}  // namespace
-
 SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
                                     const measure::Measurements& meas,
-                                    measure::ConsistencyCache* cache, PipelineMetrics* pm,
-                                    obs::Tracer* tracer, StageTimes& stages) const {
+                                    measure::ConsistencyCache& cache, PipelineMetrics* pm,
+                                    obs::Tracer* tracer) const {
   SuffixResult result;
   result.suffix = group.suffix;
   result.hostname_count = group.hostnames.size();
+  const PipelineMetrics::StageUs stage_us =
+      pm != nullptr ? pm->stage_us : PipelineMetrics::StageUs{};
 
   // Stage 2: tag apparent geohints.
   {
-    const Stopwatch sw(stages.tag_ms);
-    obs::Span span(tracer, "tag", group.suffix);
+    obs::Span span(tracer, "tag", group.suffix, stage_us.tag);
     span.set_work(group.hostnames.size());
-    const ApparentTagger tagger(dict_, meas, config_.apparent, cache);
+    const ApparentTagger tagger(dict_, meas, config_.apparent, &cache);
     result.tagged = tagger.tag_all(group.hostnames);
   }
   for (const TaggedHostname& th : result.tagged)
@@ -252,8 +286,7 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
     return result;
   }
 
-  Evaluator evaluator(dict_, meas, config_.apparent.slack_ms, cache);
-  evaluator.set_use_compiled(config_.compiled_regex);
+  Evaluator evaluator(dict_, meas, config_.apparent.slack_ms, &cache);
   // Fold the evaluator's set-matching work into the registry on every exit
   // path (the evaluator dies with this frame).
   struct EvalObsFold {
@@ -272,13 +305,10 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
 
   // Stage 3 phase 1: base regexes, seeded from a bounded prefix of the
   // tagged hostnames.
-  GenConfig gen_config = config_.gen;
-  gen_config.compiled_matcher = config_.compiled_regex;
-  const RegexGenerator generator(gen_config);
+  const RegexGenerator generator(config_.gen);
   std::vector<GeoRegex> candidates;
   {
-    const Stopwatch sw(stages.regex_ms);
-    obs::Span span(tracer, "regex_gen", group.suffix);
+    obs::Span span(tracer, "regex_gen", group.suffix, stage_us.regex_gen);
     std::vector<TaggedHostname> seeds;
     for (const TaggedHostname& th : result.tagged) {
       if (!th.has_hint()) continue;
@@ -297,8 +327,7 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   // merge/embed add below them.
   std::vector<NcEvaluation> base_evals;
   {
-    const Stopwatch sw(stages.eval_ms);
-    obs::Span span(tracer, "eval", group.suffix);
+    obs::Span span(tracer, "eval", group.suffix, stage_us.eval);
     span.set_work(candidates.size());
     std::vector<NcEvaluation> evals = evaluator.evaluate_candidates(candidates, result.tagged);
     struct Ranked {
@@ -325,8 +354,7 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   if (candidates.empty()) return result;
 
   {
-    const Stopwatch sw(stages.regex_ms);
-    obs::Span span(tracer, "regex_gen", group.suffix);
+    obs::Span span(tracer, "regex_gen", group.suffix, stage_us.regex_gen);
     // Stage 3 phase 2: merge similar regexes.
     {
       const std::vector<GeoRegex> merged = generator.merge(candidates);
@@ -347,8 +375,7 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   const NcBuilder builder(evaluator, config_.sets);
   std::vector<NcBuilder::Candidate> ncs;
   {
-    const Stopwatch sw(stages.eval_ms);
-    obs::Span span(tracer, "eval", group.suffix);
+    obs::Span span(tracer, "eval", group.suffix, stage_us.eval);
     // The pruned base regexes sit (deduplicated, in rank order) at the front
     // of `candidates`: merge/embed only append, and dedup keeps first
     // occurrences, so base_evals still lines up with the prefix.
@@ -363,8 +390,7 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   // re-evaluate them (learning can reorder the ranking).
   std::vector<std::vector<LearnedHint>> learned_per(ncs.size());
   if (config_.enable_learning) {
-    const Stopwatch sw(stages.learn_ms);
-    obs::Span span(tracer, "learn", group.suffix);
+    obs::Span span(tracer, "learn", group.suffix, stage_us.learn);
     const GeohintLearner learner(evaluator, config_.learn);
     const std::size_t n = std::min(ncs.size(), config_.learn_top_n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -398,6 +424,86 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   return result;
 }
 
+std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
+                                              const measure::Measurements& meas,
+                                              PipelineMetrics* pm, obs::Tracer* tracer,
+                                              Workers& workers,
+                                              const std::function<void()>& while_learning) const {
+  std::vector<SuffixResult> slots(groups.size());
+  if (pm != nullptr && !groups.empty()) {
+    // Build the shared grid up front (the workers would race to the same
+    // build anyway) so its size is on record. A run's groups share one VP
+    // set, so later calls reuse the grid.
+    if (const auto grid = expected_rtt_grid(meas))
+      pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
+  }
+
+  if (!workers.pool) {
+    // Never oversubscribe: suffix learning is CPU-bound, so workers beyond
+    // the core count only add preemption (the seed bench's cached_4t used
+    // to lose to cached_1t on 1-core hosts). Without work to overlap, more
+    // workers than groups would only idle; run_stream, which renders its
+    // next batch meanwhile, starts the pool even for one group and keeps
+    // it. Output is threads-invariant, so the clamp is unobservable.
+    std::size_t threads =
+        std::min(util::resolve_threads(config_.threads), util::resolve_threads(0));
+    if (!while_learning) threads = std::min(threads, groups.size());
+    if (threads > 1) {
+      workers.pool.emplace(threads);
+      if (pm != nullptr) workers.pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);
+      workers.folded = workers.pool->stats();
+    }
+  }
+  if (!workers.pool) {
+    for (std::size_t i = 0; i < groups.size(); ++i)
+      slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
+    if (while_learning) while_learning();
+    return slots;
+  }
+
+  // Suffix runs are independent: each reads only the shared const inputs
+  // (dictionary, groups, measurements) and writes its own slot, so results
+  // land by group index and match the sequential path.
+  //
+  // Suffix sizes are heavily skewed (one consumer ISP next to dozens of
+  // small operators), so the groups are seeded cost-descending into a
+  // work-stealing pool: every worker starts on one of the k largest
+  // suffixes, and whoever drains first steals the smallest remaining task
+  // from a neighbour instead of idling.
+  util::WorkStealingPool& pool = *workers.pool;
+  std::vector<std::size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return groups[a].hostnames.size() > groups[b].hostnames.size();
+  });
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(order.size());
+  for (std::size_t idx : order)
+    tasks.push_back([this, &slots, groups, &meas, pm, tracer, idx] {
+      slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
+    });
+  pool.seed(std::move(tasks));
+  if (while_learning) while_learning();
+  if (config_.worker_stall_ms > 0) {
+    // Watchdog: surface workers stuck on one suffix (one episode per task)
+    // instead of blocking silently.
+    const std::chrono::milliseconds limit(config_.worker_stall_ms);
+    while (!pool.wait_idle_for(limit)) {
+      const std::size_t stalled =
+          pool.scan_stalled(static_cast<std::uint64_t>(config_.worker_stall_ms));
+      if (pm != nullptr) pm->pool_worker_stalled.add(stalled);
+    }
+  } else {
+    pool.wait_idle();
+  }
+  if (pm != nullptr) {
+    util::WorkStealingPool::Stats now = pool.stats();
+    pm->fold_pool(now, workers.folded);
+    workers.folded = std::move(now);
+  }
+  return slots;
+}
+
 HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
                                     const measure::Measurements& meas, obs::Registry* registry,
                                     obs::Tracer* tracer) const {
@@ -408,78 +514,15 @@ HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
   obs::Span run_span(tracer, "run");
   const std::vector<topo::SuffixGroup> groups = topo.group_by_suffix();
   run_span.set_work(groups.size());
-  std::vector<SuffixResult> slots(groups.size());
-
-  if (pm != nullptr && config_.consistency_cache) {
-    // Build the shared grid up front (the workers would race to the same
-    // build anyway) so its size is on record even for an empty topology.
-    if (const auto grid = expected_rtt_grid(meas))
-      pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
-  }
-
-  std::size_t threads = util::resolve_threads(config_.threads);
-  if (!groups.empty()) threads = std::min(threads, groups.size());
-  // Never oversubscribe: suffix learning is CPU-bound, so workers beyond the
-  // core count only add preemption (measurably pessimizing small corpora —
-  // the seed bench's cached_4t used to lose to cached_1t on 1-core hosts).
-  // Output is threads-invariant, so the clamp is unobservable in results.
-  threads = std::min(threads, util::resolve_threads(0));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < groups.size(); ++i)
-      slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
-  } else {
-    // Suffix runs are independent: each reads only the shared const inputs
-    // (dictionary, topology, measurements) and writes its own slot. Results
-    // land by group index, so output order matches the sequential path.
-    //
-    // Suffix sizes are heavily skewed (one consumer ISP next to dozens of
-    // small operators), so the batch is seeded cost-descending into a
-    // work-stealing pool: every worker starts on one of the k largest
-    // suffixes, and whoever drains first steals the smallest remaining task
-    // from a neighbour instead of idling.
-    util::WorkStealingPool pool(threads);
-    if (pm != nullptr) pool.set_queue_wait_histogram(pm->pool_queue_wait_ns);
-    std::vector<std::size_t> order(groups.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return groups[a].hostnames.size() > groups[b].hostnames.size();
-    });
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(order.size());
-    for (std::size_t idx : order)
-      tasks.push_back([this, &slots, &groups, &meas, pm, tracer, idx] {
-        slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
-      });
-    pool.seed(std::move(tasks));
-    pool.wait_idle();
-    if (pm != nullptr) pm->fold_pool(pool.stats());
-  }
-  if (pm != nullptr) {
-    pm->peak_rss_bytes.set(
-        std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
-  }
+  Workers workers;
+  std::vector<SuffixResult> slots = learn_groups(groups, meas, pm, tracer, workers);
+  if (pm != nullptr) pm->note_peak_rss();
 
   HoihoResult result;
   for (SuffixResult& sr : slots)
     if (sr.hostname_count > 0) result.suffixes.push_back(std::move(sr));
   return result;
 }
-
-namespace {
-
-// Fingerprints every config knob that changes learned output
-// (learn_signature, shared with incremental relearning) plus the stream
-// identity, so a checkpoint written under one config/world never resumes
-// under another. Output-invariant knobs (threads, caches, compiled_regex,
-// observability pointers) are excluded by learn_signature.
-std::uint64_t checkpoint_signature(const HoihoConfig& c, const io::SuffixStream& stream,
-                                   std::size_t dict_size) {
-  io::StreamSignature sig;
-  sig.mix(learn_signature(c, dict_size)).mix(stream.signature());
-  return sig.value();
-}
-
-}  // namespace
 
 HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Registry* registry,
                                            obs::Tracer* tracer) const {
@@ -488,24 +531,6 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
   PipelineMetrics* pm = metrics ? &*metrics : nullptr;
 
   obs::Span run_span(tracer, "run_stream");
-
-  // Per-hostname payloads point into the batch that owns the hostnames;
-  // strip them before the batch dies so streamed results are both safe and
-  // small (aggregate counts, the NC, learned hints, and the class survive).
-  const auto compact = [](SuffixResult& sr) {
-    std::vector<TaggedHostname>().swap(sr.tagged);
-    std::vector<HostnameEval>().swap(sr.eval.per_hostname);
-  };
-
-  // Same no-oversubscription clamp as run_instrumented.
-  const std::size_t threads =
-      std::min(util::resolve_threads(config_.threads), util::resolve_threads(0));
-  std::optional<util::WorkStealingPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    if (pm != nullptr) pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);
-  }
-
   HoihoResult result;
 
   // Durability (DESIGN.md §14): commit every batch's compacted results to a
@@ -526,6 +551,7 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     result.suffixes = std::move(resume.results);
   }
 
+  Workers workers;  // one pool for the whole stream
   std::size_t total_suffixes = 0;
   bool truncated = false;  // a commit failure cut the run short mid-stream
   std::optional<io::SuffixBatch> batch = stream.next_batch();
@@ -537,54 +563,14 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     batch = stream.next_batch();
   }
   while (batch) {
-    const std::vector<topo::SuffixGroup>& groups = batch->groups;
-    const measure::Measurements& meas = batch->pings;
-    total_suffixes += groups.size();
-    std::vector<SuffixResult> slots(groups.size());
-
-    if (pm != nullptr && config_.consistency_cache) {
-      // Every batch shares the campaign VP set, so this builds once and the
-      // grid cache serves every later batch.
-      if (const auto grid = expected_rtt_grid(meas))
-        pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
-    }
-
+    total_suffixes += batch->groups.size();
+    // Double buffering: this thread renders batch k+1 while the workers
+    // learn batch k. The stream is only ever touched from this thread; the
+    // workers only touch the current batch.
     std::optional<io::SuffixBatch> next;
-    if (!pool) {
-      for (std::size_t i = 0; i < groups.size(); ++i)
-        slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
-      next = stream.next_batch();
-    } else {
-      // Same cost-descending seeding as run(); results land by slot index,
-      // so stream order (and threads=1 equivalence) is preserved.
-      std::vector<std::size_t> order(groups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return groups[a].hostnames.size() > groups[b].hostnames.size();
-      });
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(order.size());
-      for (std::size_t idx : order)
-        tasks.push_back([this, &slots, &groups, &meas, pm, tracer, idx] {
-          slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
-        });
-      pool->seed(std::move(tasks));
-      // Double buffering: the main thread renders batch k+1 while the
-      // workers learn batch k. The stream is only ever touched from this
-      // thread; the workers only touch the current batch.
-      next = stream.next_batch();
-      if (config_.worker_stall_ms > 0) {
-        // Watchdog: surface workers stuck on one suffix (one episode per
-        // task) instead of blocking silently.
-        while (!pool->wait_idle_for(std::chrono::milliseconds(config_.worker_stall_ms))) {
-          const std::size_t stalled =
-              pool->scan_stalled(static_cast<std::uint64_t>(config_.worker_stall_ms));
-          if (pm != nullptr) pm->pool_worker_stalled.add(stalled);
-        }
-      } else {
-        pool->wait_idle();
-      }
-    }
+    std::vector<SuffixResult> slots =
+        learn_groups(batch->groups, batch->pings, pm, tracer, workers,
+                     [&] { next = stream.next_batch(); });
 
     const std::size_t batch_begin = result.suffixes.size();
     for (SuffixResult& sr : slots) {
@@ -609,8 +595,7 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     }
     if (pm != nullptr) {
       pm->stream_batches.inc();
-      pm->peak_rss_bytes.set(
-          std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
+      pm->note_peak_rss();
     }
     batch = std::move(next);
   }
@@ -634,7 +619,6 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     }
   }
 
-  if (pool && pm != nullptr) pm->fold_pool(pool->stats());
   if (registry != nullptr) stream.report().publish(*registry, "stream");
   return result;
 }
@@ -677,52 +661,22 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
   // the prior result (and all its ConsistencyCache/eval work) is reused
   // verbatim. A prior fingerprint of 0 (pre-fingerprint checkpoint) never
   // matches — unknown content is always dirty.
-  std::vector<std::size_t> dirty_idx;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::uint64_t fp = suffix_fingerprint(groups[i], meas);
-    const SuffixResult* prev = prior.find(groups[i].suffix);
+  std::vector<topo::SuffixGroup> dirty;
+  for (const topo::SuffixGroup& g : groups) {
+    const std::uint64_t fp = suffix_fingerprint(g, meas);
+    const SuffixResult* prev = prior.find(g.suffix);
     if (prev != nullptr && prev->fingerprint != 0 && prev->fingerprint == fp)
       ++report.reused;
     else
-      dirty_idx.push_back(i);
+      dirty.push_back(g);
   }
 
-  // Relearn only the dirty suffixes — same clamp and cost-descending
-  // work-stealing seeding as run(); the shared expected-RTT grid memo
-  // serves every rerun.
+  // Relearn only the dirty suffixes, on run()'s fan-out; the shared
+  // expected-RTT grid memo serves every rerun.
   const auto t_relearn = std::chrono::steady_clock::now();
-  std::vector<SuffixResult> fresh(dirty_idx.size());
-  if (!dirty_idx.empty()) {
-    if (pm != nullptr && config_.consistency_cache) {
-      if (const auto grid = expected_rtt_grid(meas))
-        pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
-    }
-    std::size_t threads = util::resolve_threads(config_.threads);
-    threads = std::min(threads, dirty_idx.size());
-    threads = std::min(threads, util::resolve_threads(0));
-    if (threads <= 1) {
-      for (std::size_t k = 0; k < dirty_idx.size(); ++k)
-        fresh[k] = run_suffix_instrumented(groups[dirty_idx[k]], meas, pm, tracer);
-    } else {
-      util::WorkStealingPool pool(threads);
-      if (pm != nullptr) pool.set_queue_wait_histogram(pm->pool_queue_wait_ns);
-      std::vector<std::size_t> order(dirty_idx.size());
-      for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return groups[dirty_idx[a]].hostnames.size() > groups[dirty_idx[b]].hostnames.size();
-      });
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(order.size());
-      for (std::size_t k : order)
-        tasks.push_back([this, &fresh, &groups, &dirty_idx, &meas, pm, tracer, k] {
-          fresh[k] = run_suffix_instrumented(groups[dirty_idx[k]], meas, pm, tracer);
-        });
-      pool.seed(std::move(tasks));
-      pool.wait_idle();
-      if (pm != nullptr) pm->fold_pool(pool.stats());
-    }
-  }
-  report.dirty = dirty_idx.size();
+  Workers workers;
+  std::vector<SuffixResult> fresh = learn_groups(dirty, meas, pm, tracer, workers);
+  report.dirty = dirty.size();
   report.relearn_wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t_relearn)
           .count();
@@ -730,15 +684,10 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
   // Merge: prior order with dirty results swapped in and removals dropped;
   // brand-new suffixes append in group order. Fresh results are compacted
   // like run_stream's so chained PriorRuns stay bounded.
-  const auto compact = [](SuffixResult& sr) {
-    std::vector<TaggedHostname>().swap(sr.tagged);
-    std::vector<HostnameEval>().swap(sr.eval.per_hostname);
-  };
   std::unordered_set<std::string_view> removed_set(world.removed.begin(), world.removed.end());
   std::unordered_map<std::string_view, std::size_t> fresh_by_suffix;
   fresh_by_suffix.reserve(fresh.size());
-  for (std::size_t k = 0; k < fresh.size(); ++k)
-    fresh_by_suffix[groups[dirty_idx[k]].suffix] = k;
+  for (std::size_t k = 0; k < dirty.size(); ++k) fresh_by_suffix[dirty[k].suffix] = k;
 
   report.delta.base_generation = prior.generation;
   std::vector<char> fresh_used(fresh.size(), 0);
@@ -788,8 +737,7 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
     pm->delta_added.add(report.added);
     pm->delta_removed.add(report.removed);
     pm->delta_relearn_us.add(static_cast<std::uint64_t>(report.relearn_wall_ms * 1e3));
-    pm->peak_rss_bytes.set(
-        std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
+    pm->note_peak_rss();
   }
   return report;
 }
@@ -802,39 +750,17 @@ HoihoResult Hoiho::run_stream(io::SuffixStream& stream) const {
   return run_stream_instrumented(stream, config_.registry, config_.tracer);
 }
 
-RunReport Hoiho::run_stream_report(io::SuffixStream& stream) const {
-  std::optional<obs::Registry> own_registry;
-  std::optional<obs::Tracer> own_tracer;
-  obs::Registry* registry = config_.registry;
-  obs::Tracer* tracer = config_.tracer;
-  if (registry == nullptr) registry = &own_registry.emplace();
-  if (tracer == nullptr) tracer = &own_tracer.emplace();
-
-  RunReport report;
-  report.result = run_stream_instrumented(stream, registry, tracer);
-  report.metrics = registry->snapshot();
-  report.spans = tracer->spans();
-  report.dropped_spans = tracer->dropped();
-  return report;
-}
-
 RunReport Hoiho::run_report(const topo::Topology& topo,
                             const measure::Measurements& meas) const {
-  // Private sinks when the config doesn't supply shared ones, so the report
-  // is self-contained either way.
-  std::optional<obs::Registry> own_registry;
-  std::optional<obs::Tracer> own_tracer;
-  obs::Registry* registry = config_.registry;
-  obs::Tracer* tracer = config_.tracer;
-  if (registry == nullptr) registry = &own_registry.emplace();
-  if (tracer == nullptr) tracer = &own_tracer.emplace();
+  return report_run(config_, [&](obs::Registry* registry, obs::Tracer* tracer) {
+    return run_instrumented(topo, meas, registry, tracer);
+  });
+}
 
-  RunReport report;
-  report.result = run_instrumented(topo, meas, registry, tracer);
-  report.metrics = registry->snapshot();
-  report.spans = tracer->spans();
-  report.dropped_spans = tracer->dropped();
-  return report;
+RunReport Hoiho::run_stream_report(io::SuffixStream& stream) const {
+  return report_run(config_, [&](obs::Registry* registry, obs::Tracer* tracer) {
+    return run_stream_instrumented(stream, registry, tracer);
+  });
 }
 
 }  // namespace hoiho::core

@@ -11,8 +11,10 @@
 // the geohints learned in stage 4, and the stage-5 classification.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "core/apparent.h"
 #include "core/eval.h"
@@ -51,35 +53,12 @@ struct HoihoConfig {
   // Stage 4 on/off — the paper's own ablation (§6.1: 94.0% vs 82.4%).
   bool enable_learning = true;
 
-  // Worker threads for run(): suffix groups are independent (the method is
-  // per-suffix, paper §5) and are processed in parallel. 0 = one worker per
-  // hardware thread; 1 = sequential. Output is deterministic regardless:
-  // results are collected by group index, identical to the sequential order.
+  // Worker threads for run(), run_stream() and run_delta(): suffix groups
+  // are independent (the method is per-suffix, paper §5) and are processed
+  // in parallel. 0 = one worker per hardware thread; 1 = sequential. Never
+  // more workers than cores. Output is deterministic regardless: results
+  // are collected by group index, identical to the sequential order.
   std::size_t threads = 0;
-
-  // Memoize RTT-consistency verdicts in a per-suffix-run cache shared by
-  // stages 2-4 (off reproduces the uncached hot path, for benchmarking).
-  bool consistency_cache = true;
-
-  // Precompute the (location, VP) speed-of-light RTT grid once per VP set
-  // and share it read-only across suffix runs, instead of each suffix cache
-  // memoizing haversines lazily. Same doubles, same verdicts; skipped for
-  // dictionaries/VP sets whose product exceeds `max_grid_cells`. Only
-  // meaningful with `consistency_cache` on.
-  bool expected_rtt_grid = true;
-
-  // Cells (locations x VPs) above which the eager grid build is skipped and
-  // suffix caches fall back to lazy per-location memoization — a
-  // 10k-location CSV dictionary against 1k VPs would be 10M haversines and
-  // 80 MB up front, which the lazy path handles fine. Exposed so the
-  // fallback is testable (tests/test_consistency_cache.cc).
-  std::size_t max_grid_cells = 4u << 20;
-
-  // Run regexes on the compiled engine (rx::Program / rx::SetMatcher); off
-  // falls back to the AST backtracker. Results are byte-identical either
-  // way (tests/test_regex_differential.cc); the knob exists for that test
-  // and for before/after benchmarking.
-  bool compiled_regex = true;
 
   // Durable streaming runs (DESIGN.md §14). Non-empty: run_stream commits
   // each batch's results to a WAL + manifest under this directory
@@ -90,9 +69,10 @@ struct HoihoConfig {
   // run() (batch mode has no incremental commit points).
   std::string checkpoint_dir;
 
-  // Stall watchdog for the streaming learner's pool (0 = off): while
-  // waiting for a batch to finish, workers busy on one task longer than
-  // this are counted in `pool_worker_stalled` (one episode per task).
+  // Stall watchdog for the learner's pool (0 = off): while waiting for the
+  // workers to finish (run(), each run_stream() batch, run_delta()'s
+  // relearn), workers busy on one suffix longer than this are counted in
+  // `pool_worker_stalled` (one episode per suffix).
   int worker_stall_ms = 0;
 
   // Non-empty: run_stream writes the final learned model here when the
@@ -111,24 +91,6 @@ struct HoihoConfig {
   // don't have to manage them.
   obs::Registry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
-};
-
-// Wall time per pipeline stage of one suffix run; benches aggregate these
-// into the per-stage breakdown in BENCH_PIPELINE.json.
-struct StageTimes {
-  double tag_ms = 0;    // stage 2: apparent-geohint tagging
-  double regex_ms = 0;  // stage 3 generation: base + merge + class embedding
-  double eval_ms = 0;   // stage 3 scoring: candidate ranking + NC building
-  double learn_ms = 0;  // stage 4: geohint learning + re-evaluation
-
-  StageTimes& operator+=(const StageTimes& o) {
-    tag_ms += o.tag_ms;
-    regex_ms += o.regex_ms;
-    eval_ms += o.eval_ms;
-    learn_ms += o.learn_ms;
-    return *this;
-  }
-  double total_ms() const { return tag_ms + regex_ms + eval_ms + learn_ms; }
 };
 
 // Result for one suffix.
@@ -248,6 +210,7 @@ class Hoiho {
 
  private:
   struct PipelineMetrics;  // registry handles, built once per run (hoiho.cc)
+  struct Workers;          // the learner's pool for one run (hoiho.cc)
 
   // Expected-RTT grid memo, keyed by the VP coordinates it was built for
   // (the dictionary half of the key is fixed per Hoiho). Held behind a
@@ -260,9 +223,19 @@ class Hoiho {
   };
 
   // Returns the grid for `meas` (building it on first use), or null when
-  // disabled or over the size cap. The returned pointer keeps it alive.
+  // over the size cap. The returned pointer keeps it alive.
   std::shared_ptr<const measure::ExpectedRttGrid> expected_rtt_grid(
       const measure::Measurements& meas) const;
+
+  // The learner's one fan-out, behind run(), each run_stream() batch and
+  // run_delta()'s relearn: learns groups[i] into slot i of the result,
+  // largest group first, on `workers`' pool (started on first use, unless
+  // the clamp leaves one worker) or inline. `while_learning` runs on this
+  // thread while the workers learn.
+  std::vector<SuffixResult> learn_groups(std::span<const topo::SuffixGroup> groups,
+                                         const measure::Measurements& meas, PipelineMetrics* pm,
+                                         obs::Tracer* tracer, Workers& workers,
+                                         const std::function<void()>& while_learning = {}) const;
 
   // run() with explicit instrumentation sinks (either may be null).
   HoihoResult run_instrumented(const topo::Topology& topo, const measure::Measurements& meas,
@@ -275,11 +248,9 @@ class Hoiho {
                                        const measure::Measurements& meas, PipelineMetrics* pm,
                                        obs::Tracer* tracer) const;
 
-  // `stages` receives the per-stage wall time of this run (fed into the
-  // pipeline_stage_us counters by run_suffix_instrumented).
   SuffixResult run_suffix_impl(const topo::SuffixGroup& group, const measure::Measurements& meas,
-                               measure::ConsistencyCache* cache, PipelineMetrics* pm,
-                               obs::Tracer* tracer, StageTimes& stages) const;
+                               measure::ConsistencyCache& cache, PipelineMetrics* pm,
+                               obs::Tracer* tracer) const;
 
   const geo::GeoDictionary& dict_;
   HoihoConfig config_;

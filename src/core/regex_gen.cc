@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "regex/matcher.h"
 #include "regex/program.h"
 #include "util/strings.h"
 
@@ -275,26 +274,16 @@ std::optional<GeoRegex> RegexGenerator::embed_classes(
   // arena), which outlives this call — no per-(node, hostname) allocation.
   std::vector<std::vector<std::string_view>> texts(n_nodes);
   std::size_t matched = 0;
-  if (config_.compiled_matcher) {
-    // Compile once, then one prefiltered run per hostname; the successful
-    // path in the scratch is exactly the per-node span list.
-    const rx::Program program = rx::Program::compile(gr.regex);
-    rx::MatchScratch scratch;
-    for (const TaggedHostname& th : tagged) {
-      const std::string_view full = th.ref.hostname->full;
-      if (!program.match(full, scratch)) continue;
-      ++matched;
-      for (std::size_t i = 0; i < n_nodes; ++i)
-        texts[i].emplace_back(program.node_span(scratch, i).view(full));
-    }
-  } else {
-    std::vector<rx::Capture> spans;
-    for (const TaggedHostname& th : tagged) {
-      if (!rx::match_with_spans(gr.regex, th.ref.hostname->full, spans)) continue;
-      ++matched;
-      for (std::size_t i = 0; i < n_nodes; ++i)
-        texts[i].emplace_back(spans[i].view(th.ref.hostname->full));
-    }
+  // Compile once, then one prefiltered run per hostname; the successful
+  // path in the scratch is exactly the per-node span list.
+  const rx::Program program = rx::Program::compile(gr.regex);
+  rx::MatchScratch scratch;
+  for (const TaggedHostname& th : tagged) {
+    const std::string_view full = th.ref.hostname->full;
+    if (!program.match(full, scratch)) continue;
+    ++matched;
+    for (std::size_t i = 0; i < n_nodes; ++i)
+      texts[i].emplace_back(program.node_span(scratch, i).view(full));
   }
   if (matched < 2) return std::nullopt;
 

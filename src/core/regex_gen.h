@@ -28,10 +28,6 @@ struct GenConfig {
   // Also emit variants that do not capture apparent annotations (they lose
   // on FNs but can win when annotation tagging was spurious).
   bool annotation_free_variants = true;
-
-  // Run phase-3 matching on the compiled engine (rx::Program); off uses the
-  // AST backtracker. Identical output either way (differential-tested).
-  bool compiled_matcher = true;
 };
 
 class RegexGenerator {

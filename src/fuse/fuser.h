@@ -61,9 +61,9 @@ class FuseContext {
  public:
   // Builds the context: indexes every interface address and hostname of
   // `topology` to its router, and precomputes the (location x VP)
-  // speed-of-light grid when `dict.size() * vps <= max_grid_cells` (same
-  // cap semantics as HoihoConfig::max_grid_cells; over the cap the filter
-  // falls back to per-candidate haversines, same doubles).
+  // speed-of-light grid when `dict.size() * vps <= max_grid_cells` (the
+  // default is the learner's own cap; over the cap the filter falls back
+  // to per-candidate haversines, same doubles).
   static std::shared_ptr<const FuseContext> build(const topo::Topology& topology,
                                                   measure::Measurements meas,
                                                   const geo::GeoDictionary& dict,

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "obs/metrics.h"
-
 namespace hoiho::obs {
 
 namespace {
@@ -81,18 +79,25 @@ std::uint64_t Tracer::dropped() const {
   return dropped_;
 }
 
-Span::Span(Tracer* tracer, std::string_view name, std::string_view detail) : tracer_(tracer) {
+Span::Span(Tracer* tracer, std::string_view name, std::string_view detail, Counter us_sink)
+    : tracer_(tracer), us_sink_(us_sink) {
+  if (tracer_ == nullptr && !us_sink_) return;
+  t0_ns_ = Tracer::now_ns();
   if (tracer_ == nullptr) return;
   rec_.name = name;
   rec_.detail = detail;
   rec_.thread = thread_ordinal();
   rec_.depth = t_span_depth++;
-  rec_.start_ns = Tracer::now_ns() - tracer_->epoch_ns();
+  rec_.start_ns = t0_ns_ - tracer_->epoch_ns();
 }
 
 void Span::finish() {
+  if (tracer_ == nullptr && !us_sink_) return;
+  const std::uint64_t dur_ns = Tracer::now_ns() - t0_ns_;
+  us_sink_.add((dur_ns + 500) / 1000);
+  us_sink_ = {};
   if (tracer_ == nullptr) return;
-  rec_.dur_ns = Tracer::now_ns() - tracer_->epoch_ns() - rec_.start_ns;
+  rec_.dur_ns = dur_ns;
   --t_span_depth;
   Tracer* t = tracer_;
   tracer_ = nullptr;

@@ -9,8 +9,10 @@
 //
 // Spans are cheap but not free (two steady_clock reads plus one mutex'd
 // ring push on completion), so they wrap *stages* — tag / regex-gen / eval
-// / learn, a few per suffix — never per-hostname work. A null tracer makes
-// Span a no-op, which is how uninstrumented runs pay nothing.
+// / learn, a few per suffix — never per-hostname work. A span may also feed
+// a Counter with its duration in µs, so a stage is timed once whether or not
+// a tracer is attached. A null tracer and a null counter make Span a no-op,
+// which is how uninstrumented runs pay nothing.
 //
 // Nesting depth is tracked per thread: a span opened while another span on
 // the same thread is live records depth parent+1. Records are pushed on
@@ -24,6 +26,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace hoiho::obs {
 
@@ -68,8 +72,10 @@ class Tracer {
 
 class Span {
  public:
-  // A null tracer produces a no-op span (no clock reads).
-  Span(Tracer* tracer, std::string_view name, std::string_view detail = {});
+  // A null tracer records nothing; `us_sink`, if set, receives the span's
+  // duration in µs (rounded) either way. Both null: no clock reads.
+  Span(Tracer* tracer, std::string_view name, std::string_view detail = {},
+       Counter us_sink = {});
   ~Span() { finish(); }
 
   Span(const Span&) = delete;
@@ -83,6 +89,8 @@ class Span {
 
  private:
   Tracer* tracer_;
+  Counter us_sink_;
+  std::uint64_t t0_ns_ = 0;  // Tracer::now_ns() at construction
   SpanRecord rec_;
 };
 

@@ -117,8 +117,9 @@ TEST(ConsistencyCache, PrefilterRejectsFarCandidates) {
 
 TEST(ConsistencyCache, VerdictsMatchUncachedScanOnSimWorld) {
   // Property check over a realistic multi-VP campaign: for every (router,
-  // location) pair, cached verdicts (prefilter on and off) must equal the
-  // raw rtt_consistent() scan.
+  // location) pair, cached verdicts (prefilter on and off, and backed by
+  // the shared expected-RTT grid the pipeline builds) must equal the raw
+  // rtt_consistent() scan.
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
   sim::WorldConfig wc;
   wc.seed = 5;
@@ -126,8 +127,12 @@ TEST(ConsistencyCache, VerdictsMatchUncachedScanOnSimWorld) {
   const sim::World world = sim::generate_world(dict, wc);
   const Measurements meas = sim::probe_pings(world, {});
 
+  std::vector<geo::Coordinate> coords(dict.size());
+  for (geo::LocationId id = 0; id < dict.size(); ++id) coords[id] = dict.location(id).coord;
+  const ExpectedRttGrid grid(coords, meas.vps);
   ConsistencyCache with(meas, dict.size(), 0.0, /*prefilter=*/true);
   ConsistencyCache without(meas, dict.size(), 0.0, /*prefilter=*/false);
+  ConsistencyCache gridded(meas, dict.size(), 0.0, /*prefilter=*/true, &grid);
   const std::size_t routers = std::min<std::size_t>(meas.pings.router_count(), 40);
   for (topo::RouterId r = 0; r < routers; ++r) {
     for (geo::LocationId id = 0; id < dict.size(); ++id) {
@@ -135,6 +140,7 @@ TEST(ConsistencyCache, VerdictsMatchUncachedScanOnSimWorld) {
       const bool expected = rtt_consistent(meas.pings, meas.vps, r, coord, 0.0);
       ASSERT_EQ(with.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
       ASSERT_EQ(without.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
+      ASSERT_EQ(gridded.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
       // Second pass must hit and agree.
       ASSERT_EQ(with.consistent(r, id, coord), expected);
     }

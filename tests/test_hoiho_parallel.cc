@@ -1,7 +1,7 @@
 // Determinism of the parallel pipeline: Hoiho::run with threads=1 and
-// threads=8 must produce identical HoihoResults on a multi-operator world,
-// and the consistency cache must not change any verdict. Equality is
-// checked on an exhaustive textual dump of every field the pipeline emits.
+// threads=8 must produce identical HoihoResults on a multi-operator world.
+// Equality is checked on an exhaustive textual dump of every field the
+// pipeline emits.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -87,10 +87,9 @@ struct Fixture {
     meas = sim::probe_pings(world, {});
   }
 
-  HoihoResult run(std::size_t threads, bool cache = true) const {
+  HoihoResult run(std::size_t threads) const {
     HoihoConfig config;
     config.threads = threads;
-    config.consistency_cache = cache;
     return Hoiho(geo::builtin_dictionary(), config).run(world.topology, meas);
   }
 };
@@ -115,14 +114,6 @@ TEST(HoihoParallel, RepeatedParallelRunsAreStable) {
   const HoihoResult b = fixture().run(8);
   EXPECT_EQ(dump(a), dump(b));
   EXPECT_EQ(dump_fingerprints(a), dump_fingerprints(b));
-}
-
-TEST(HoihoParallel, CacheDoesNotChangeVerdicts) {
-  const HoihoResult cached = fixture().run(1, /*cache=*/true);
-  const HoihoResult uncached = fixture().run(1, /*cache=*/false);
-  EXPECT_EQ(dump(cached), dump(uncached));
-  // Fingerprints hash inputs, not execution strategy, so they match too.
-  EXPECT_EQ(dump_fingerprints(cached), dump_fingerprints(uncached));
 }
 
 TEST(HoihoParallel, HardwareThreadsKnob) {

@@ -186,6 +186,26 @@ TEST(ObsTracer, SpansNestAndOrder) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
+TEST(ObsTracer, SpanFeedsItsCounterWithOrWithoutTracer) {
+  obs::Registry registry;
+  const obs::Counter us = registry.counter("stage_us");
+  obs::Tracer tracer(16);
+  {
+    obs::Span span(nullptr, "untraced", {}, us);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::uint64_t untraced = us.load();
+  EXPECT_GE(untraced, 2000u);
+  {
+    obs::Span span(&tracer, "traced", {}, us);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::vector<obs::SpanRecord> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  // Timed once: the counter gets the recorded duration, rounded to µs.
+  EXPECT_EQ(us.load() - untraced, (spans[0].dur_ns + 500) / 1000);
+}
+
 TEST(ObsTracer, RingOverflowCountsDrops) {
   obs::Tracer tracer(4);
   for (int i = 0; i < 10; ++i) obs::Span span(&tracer, "s");
@@ -402,6 +422,11 @@ TEST(ObsIntegration, OneRegistryHoldsAllSubsystems) {
   EXPECT_EQ(snap.value("ingest_lines{source=\"itdk\"}"), 10u);
   EXPECT_EQ(snap.value("ingest_skipped{category=\"bad_fields\",source=\"itdk\"}"), 1u);
   EXPECT_EQ(snap.value("serve_requests"), 4u);
+
+  // The stage spans feed pipeline_stage_us even with no tracer attached.
+  for (const char* stage : {"tag", "regex_gen", "eval", "learn"})
+    EXPECT_GT(snap.value("pipeline_stage_us{stage=\"" + std::string(stage) + "\"}"), 0u)
+        << stage;
 
   const std::string json = snap.to_json();
   for (const char* needle : {"pipeline_stage_us", "consistency_cache_hits", "ingest_skipped",

@@ -6,12 +6,10 @@
 // must all agree, pair for pair.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/hoiho.h"
-#include "core/nc_io.h"
 #include "geo/dictionary.h"
 #include "regex/matcher.h"
 #include "regex/parser.h"
@@ -228,21 +226,21 @@ TEST(RegexBudget, EvaluatorCountsExhaustedHostnames) {
   core::TaggedHostname th;
   th.ref.hostname = &*host;
 
-  for (const bool compiled : {false, true}) {
-    evaluator.set_use_compiled(compiled);
-    const core::NcEvaluation eval = evaluator.evaluate(nc, {&th, 1});
-    EXPECT_EQ(eval.counts.budget_exhausted, 1u) << "compiled=" << compiled;
-    ASSERT_EQ(eval.per_hostname.size(), 1u);
-    EXPECT_TRUE(eval.per_hostname[0].budget_exhausted) << "compiled=" << compiled;
-  }
+  const core::NcEvaluation eval = evaluator.evaluate(nc, {&th, 1});
+  EXPECT_EQ(eval.counts.budget_exhausted, 1u);
+  ASSERT_EQ(eval.per_hostname.size(), 1u);
+  EXPECT_TRUE(eval.per_hostname[0].budget_exhausted);
+  bool oracle_exhausted = false;
+  EXPECT_FALSE(core::extract(nc, *host, &oracle_exhausted).has_value());
+  EXPECT_TRUE(oracle_exhausted);
 }
 
-// --- engine determinism ------------------------------------------------------
+// --- engine oracle at evaluator level ---------------------------------------
 
-// The compiled engine must not change what the pipeline learns: the saved
-// model (regexes, classes, learned geohints) has to be byte-identical with
-// the engine on and off.
-TEST(RegexDifferential, PipelineOutputIdenticalAcrossEngines) {
+// What the pipeline learns is scored on the compiled engine; for every NC it
+// learns on this world and every hostname of the NC's suffix, the evaluator's
+// extraction must be the AST engine's (core::extract), exhaustion included.
+TEST(RegexDifferential, EvaluatorExtractionMatchesAstOracle) {
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
   sim::WorldConfig wc;
   wc.seed = 20260805;
@@ -251,26 +249,37 @@ TEST(RegexDifferential, PipelineOutputIdenticalAcrossEngines) {
   const sim::World world = sim::generate_world(dict, wc);
   const measure::Measurements pings = sim::probe_pings(world, {});
 
-  const auto saved_model = [&](bool compiled) {
-    core::HoihoConfig config;
-    config.threads = 1;
-    config.compiled_regex = compiled;
-    const core::Hoiho hoiho(dict, config);
-    const core::HoihoResult result = hoiho.run(world.topology, pings);
-    std::vector<core::StoredConvention> stored;
-    for (const core::SuffixResult& sr : result.suffixes) {
-      if (!sr.has_nc()) continue;
-      stored.push_back(core::StoredConvention{sr.nc, sr.cls});
+  core::HoihoConfig config;
+  config.threads = 1;
+  const core::HoihoResult result = core::Hoiho(dict, config).run(world.topology, pings);
+  const core::Evaluator evaluator(dict, pings);
+  std::size_t ncs = 0, hostnames = 0, extracted = 0;
+  for (const core::SuffixResult& sr : result.suffixes) {
+    if (!sr.has_nc()) continue;
+    ++ncs;
+    for (const core::TaggedHostname& th : sr.tagged) {
+      ++hostnames;
+      const core::HostnameEval ev = evaluator.evaluate_one(sr.nc, th);
+      bool exhausted = false;
+      const std::optional<core::Extraction> oracle =
+          core::extract(sr.nc, *th.ref.hostname, &exhausted);
+      const std::string_view host = th.ref.hostname->full;
+      EXPECT_EQ(ev.budget_exhausted, exhausted) << host;
+      if (!oracle) {
+        EXPECT_EQ(ev.regex_index, -1) << host;
+        EXPECT_TRUE(ev.code.empty() && ev.cc.empty() && ev.st.empty()) << host;
+        continue;
+      }
+      ++extracted;
+      EXPECT_EQ(ev.regex_index, oracle->regex_index) << host;
+      EXPECT_EQ(ev.code, oracle->code) << host;
+      EXPECT_EQ(ev.cc, oracle->cc) << host;
+      EXPECT_EQ(ev.st, oracle->st) << host;
     }
-    std::ostringstream out;
-    core::save_conventions(out, stored, dict);
-    return out.str();
-  };
-
-  const std::string legacy = saved_model(false);
-  const std::string compiled = saved_model(true);
-  EXPECT_FALSE(compiled.empty());
-  EXPECT_EQ(compiled, legacy);
+  }
+  EXPECT_GT(ncs, 0u);
+  EXPECT_GT(extracted, 0u);
+  EXPECT_GT(hostnames, extracted);  // non-matching hostnames are covered too
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   * Zipf skew — the head suffix dwarfs the tail, sizes follow the plan;
 //   * run_stream ≡ run — streaming the world through Hoiho produces the
 //     same per-suffix learnings as materializing it as one batch;
-//   * threads=1 ≡ threads=8 — work-stealing does not perturb results.
+//   * threads=1 ≡ threads=8 — work-stealing does not perturb results;
+//   * the pool's stall watchdog counts stalls without perturbing them.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -196,6 +197,38 @@ TEST(RunStream, ReportCarriesStreamIngestAndPoolMetrics) {
     EXPECT_EQ(static_cast<std::uint64_t>(executed->gauge),
               report.metrics.value("pipeline_suffixes"));
   }
+}
+
+// The pool watchdog: at a 1 ms threshold, the M-tier world's large
+// suffixes keep a worker on one task past it, so the stall counter moves —
+// and counting stalls must not change what is learned.
+TEST(RunStream, WorkerWatchdogCountsStallsWithoutChangingResults) {
+  if (util::resolve_threads(0) < 2) GTEST_SKIP() << "one core: the clamp learns inline, no pool";
+  sim::StreamingWorldConfig config;  // pipeline_e2e --scale=M
+  config.seed = 99;
+  config.traits.geohint_scheme_rate = 0.8;
+  config.traits.hostname_rate = 0.8;
+  config.suffixes = 200;
+  config.target_hostnames = 20000;
+  config.max_hostnames_per_suffix = 2048;
+  config.vp_count = 32;
+  config.batch_hostname_budget = 4096;
+  const auto learn = [&](int stall_ms, obs::Registry* registry) {
+    sim::StreamingWorld world(geo::builtin_dictionary(), config);
+    HoihoConfig hc;
+    hc.threads = 4;
+    hc.worker_stall_ms = stall_ms;
+    hc.registry = registry;
+    return Hoiho(geo::builtin_dictionary(), hc).run_stream(world);
+  };
+  obs::Registry registry;
+  const HoihoResult watched = learn(1, &registry);
+  const HoihoResult plain = learn(0, nullptr);
+  EXPECT_GE(registry.snapshot().value("pool_worker_stalled"), 1u);
+  ASSERT_EQ(watched.suffixes.size(), plain.suffixes.size());
+  for (std::size_t i = 0; i < plain.suffixes.size(); ++i)
+    EXPECT_EQ(watched.suffixes[i].suffix, plain.suffixes[i].suffix) << "order diverged at " << i;
+  EXPECT_EQ(dump_compact(watched), dump_compact(plain));
 }
 
 }  // namespace
