@@ -23,6 +23,7 @@
 #include "regex/parser.h"
 #include "serve/model_store.h"
 #include "serve/protocol.h"
+#include "util/file.h"
 #include "util/rng.h"
 
 using namespace hoiho;
@@ -118,16 +119,30 @@ std::size_t file_bytes(const std::string& path) {
   return in.is_open() ? static_cast<std::size_t>(in.tellg()) : 0;
 }
 
-// Min-of-reps reload wall time through serve::ModelStore — the exact path
-// the daemon's hot swap pays, snapshot build included.
-double time_reload(const geo::GeoDictionary& dict, const std::string& path, bool map,
-                   int reps) {
+// The verified heap path for an ncb file — the steps ModelStore takes when
+// it restores an archived generation: read the file, validate the whole
+// image (NcbModel::from_bytes checks the payload hash) and build the
+// Geolocator over it. False on any failure.
+bool load_heap(const std::string& path, core::Geolocator* out) {
+  std::string bytes;
+  if (!util::read_file(path, &bytes)) return false;
+  const auto model = core::NcbModel::from_bytes(bytes);
+  if (model == nullptr) return false;
+  model->build_geolocator(*out);
+  return true;
+}
+
+// Min-of-reps load wall time. By default through serve::ModelStore::reload
+// — the exact path the daemon's hot swap pays, snapshot build included (an
+// ncb file is mmapped); `heap` times load_heap instead.
+double time_load(const geo::GeoDictionary& dict, const std::string& path, bool heap,
+                 int reps) {
   double best = -1;
   for (int r = 0; r < reps; ++r) {
     serve::ModelStore store(dict, path);
-    store.set_map_binary(map);
+    core::Geolocator geolocator(dict);
     const auto t0 = std::chrono::steady_clock::now();
-    if (store.reload()) return -1;
+    if (heap ? !load_heap(path, &geolocator) : store.reload().has_value()) return -1;
     const double us = us_since(t0);
     if (best < 0 || us < best) best = us;
   }
@@ -177,23 +192,21 @@ ScaleResult run_scale(const std::string& scale, std::size_t suffixes, int reps) 
   res.text_bytes = file_bytes(text_path);
   res.ncb_bytes = file_bytes(ncb_path);
 
-  res.load_text_us = time_reload(dict, text_path, true, reps);
-  res.load_ncb_us = time_reload(dict, ncb_path, false, reps);
-  res.load_ncb_mmap_us = time_reload(dict, ncb_path, true, reps);
+  res.load_text_us = time_load(dict, text_path, false, reps);
+  res.load_ncb_us = time_load(dict, ncb_path, true, reps);
+  res.load_ncb_mmap_us = time_load(dict, ncb_path, false, reps);
 
-  // Equivalence sweep: one store per format, every query compared on the
+  // Equivalence sweep: one model per load path, every query compared on the
   // wire bytes the server would emit. Divergence is a hard failure.
   {
     serve::ModelStore text_store(dict, text_path);
-    serve::ModelStore heap_store(dict, ncb_path);
-    heap_store.set_map_binary(false);
+    core::Geolocator heap_geo(dict);
     serve::ModelStore mmap_store(dict, ncb_path);
-    if (text_store.reload() || heap_store.reload() || mmap_store.reload()) {
+    if (text_store.reload() || !load_heap(ncb_path, &heap_geo) || mmap_store.reload()) {
       std::fprintf(stderr, "model_bench: equivalence reload failed\n");
       return res;
     }
     const auto text_snap = text_store.current();
-    const auto heap_snap = heap_store.current();
     const auto mmap_snap = mmap_store.current();
     const auto wire = [](const core::Geolocator& g, const std::string& host) {
       const auto loc = g.locate(host);
@@ -204,7 +217,7 @@ ScaleResult run_scale(const std::string& scale, std::size_t suffixes, int reps) 
     res.identical = true;
     for (const std::string& q : queries) {
       const std::string want = wire(text_snap->geolocator, q);
-      if (wire(heap_snap->geolocator, q) != want ||
+      if (wire(heap_geo, q) != want ||
           wire(mmap_snap->geolocator, q) != want) {
         std::fprintf(stderr, "model_bench: ANSWER DIVERGED on '%s'\n", q.c_str());
         res.identical = false;

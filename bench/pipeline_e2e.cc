@@ -46,7 +46,6 @@
 #include "common.h"
 #include "core/delta.h"
 #include "core/nc_io.h"
-#include "core/ncb.h"
 #include "obs/metrics.h"
 #include "serve/model_store.h"
 #include "sim/streaming.h"
@@ -114,8 +113,7 @@ void time_one_rep(RunResult& out, const sim::World& world, const measure::Measur
 // measured pipeline, exactly as it would be against a file-backed stream).
 RunResult time_stream_run(const std::string& label, const sim::StreamingWorldConfig& swc,
                           std::size_t threads, int reps, std::size_t* hostnames_out,
-                          const std::string& checkpoint_dir,
-                          std::vector<core::StoredConvention>* stored_out = nullptr) {
+                          const std::string& checkpoint_dir) {
   core::HoihoConfig config;
   config.threads = threads;
 
@@ -146,9 +144,6 @@ RunResult time_stream_run(const std::string& label, const sim::StreamingWorldCon
       for (const core::SuffixResult& sr : result.suffixes)
         if (sr.usable()) ++out.usable;
       hostnames = world.report().records;
-      if (stored_out != nullptr)
-        for (const core::SuffixResult& sr : result.suffixes)
-          if (sr.usable()) stored_out->push_back(core::StoredConvention{sr.nc, sr.cls});
     }
   }
   if (hostnames_out != nullptr) *hostnames_out = hostnames;
@@ -161,65 +156,6 @@ std::string fmt3(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f", v);
   return buf;
-}
-
-// Wall time to save and reload the learned model per format — the cost a
-// serving deployment pays to publish (save) and hot-swap (reload): text
-// parse+compile vs ncb heap build vs ncb mmap views.
-struct ModelIo {
-  double save_text_us = -1, save_ncb_us = -1;
-  double load_text_us = -1, load_ncb_us = -1, load_ncb_mmap_us = -1;
-  std::size_t conventions = 0, text_bytes = 0, ncb_bytes = 0;
-};
-
-std::size_t file_bytes(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0;
-}
-
-ModelIo time_model_io(const std::vector<core::StoredConvention>& stored,
-                      const std::string& tmp_prefix) {
-  ModelIo io;
-  io.conventions = stored.size();
-  const std::string text_path = tmp_prefix + ".model.nc";
-  const std::string ncb_path = tmp_prefix + ".model.ncb";
-  const auto us_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  auto t0 = std::chrono::steady_clock::now();
-  if (core::save_conventions_to_file(text_path, stored, geo::builtin_dictionary()))
-    io.save_text_us = us_since(t0);
-  t0 = std::chrono::steady_clock::now();
-  if (core::save_model_to_file(ncb_path, stored, geo::builtin_dictionary()))
-    io.save_ncb_us = us_since(t0);
-  io.text_bytes = file_bytes(text_path);
-  io.ncb_bytes = file_bytes(ncb_path);
-
-  const auto time_reload = [&](const std::string& path, bool map) {
-    serve::ModelStore store(geo::builtin_dictionary(), path);
-    store.set_map_binary(map);
-    const auto r0 = std::chrono::steady_clock::now();
-    if (store.reload()) return -1.0;
-    return us_since(r0);
-  };
-  io.load_text_us = time_reload(text_path, true);
-  io.load_ncb_us = time_reload(ncb_path, false);
-  io.load_ncb_mmap_us = time_reload(ncb_path, true);
-  std::remove(text_path.c_str());
-  std::remove(ncb_path.c_str());
-  return io;
-}
-
-std::string model_io_json(const ModelIo& io) {
-  return "{\"conventions\": " + std::to_string(io.conventions) +
-         ", \"text_bytes\": " + std::to_string(io.text_bytes) +
-         ", \"ncb_bytes\": " + std::to_string(io.ncb_bytes) +
-         ", \"save_text_us\": " + fmt3(io.save_text_us) +
-         ", \"save_ncb_us\": " + fmt3(io.save_ncb_us) +
-         ", \"load_text_us\": " + fmt3(io.load_text_us) +
-         ", \"load_ncb_us\": " + fmt3(io.load_ncb_us) +
-         ", \"load_ncb_mmap_us\": " + fmt3(io.load_ncb_mmap_us) + "}";
 }
 
 // --- Incremental relearning (--delta-frac) --------------------------------
@@ -417,10 +353,8 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
   if (!checkpoint_dir.empty()) ::mkdir(checkpoint_dir.c_str(), 0755);
 
   std::size_t hostnames = 0;
-  std::vector<core::StoredConvention> stored;
   std::vector<RunResult> runs;
-  runs.push_back(
-      time_stream_run("stream_1t", swc, 1, reps, &hostnames, checkpoint_dir, &stored));
+  runs.push_back(time_stream_run("stream_1t", swc, 1, reps, &hostnames, checkpoint_dir));
   runs.push_back(time_stream_run("stream_4t", swc, 4, reps, nullptr, checkpoint_dir));
   if (hw > 4)
     runs.push_back(time_stream_run("stream_" + std::to_string(hw) + "t", swc, hw, reps,
@@ -448,11 +382,6 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
   std::printf("\n4-thread speedup over 1: %.2fx; peak RSS %.1f MB\n", scale4,
               static_cast<double>(peak_rss) / (1024.0 * 1024.0));
 
-  const ModelIo io = time_model_io(stored, out_path);
-  std::printf("model io (%zu NCs): save text %.0fus / ncb %.0fus; load text %.0fus / "
-              "ncb %.0fus / mmap %.0fus\n",
-              io.conventions, io.save_text_us, io.save_ncb_us, io.load_text_us,
-              io.load_ncb_us, io.load_ncb_mmap_us);
 
   DeltaBench db;
   if (delta_frac > 0) {
@@ -484,7 +413,6 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
   out << "  \"world\": {\"suffixes\": " << swc.suffixes << ", \"hostnames\": " << hostnames
       << ", \"vps\": " << swc.vp_count << ", \"batch_hostname_budget\": "
       << swc.batch_hostname_budget << "},\n";
-  out << "  \"model_io_us\": " << model_io_json(io) << ",\n";
   out << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
@@ -629,22 +557,6 @@ int main(int argc, char** argv) {
   const double scale4 = runs[2].wall_ms <= 0 ? 0 : runs[0].wall_ms / runs[2].wall_ms;
   std::printf("\n4-thread speedup over 1: %.2fx\n", scale4);
 
-  // One untimed run to materialize the learned model, then the per-format
-  // save/load costs (the numbers BENCH_MODEL.json tracks at larger scales).
-  std::vector<core::StoredConvention> stored;
-  {
-    core::HoihoConfig config;
-    config.threads = hw;
-    const core::HoihoResult result = bench::run_hoiho(world, pings, config);
-    for (const core::SuffixResult& sr : result.suffixes)
-      if (sr.usable()) stored.push_back(core::StoredConvention{sr.nc, sr.cls});
-  }
-  const ModelIo io = time_model_io(stored, out_path);
-  std::printf("model io (%zu NCs): save text %.0fus / ncb %.0fus; load text %.0fus / "
-              "ncb %.0fus / mmap %.0fus\n",
-              io.conventions, io.save_text_us, io.save_ncb_us, io.load_text_us,
-              io.load_ncb_us, io.load_ncb_mmap_us);
-
   std::ofstream out(out_path);
   out << "{\n";
   out << "  \"bench\": \"pipeline_e2e\",\n";
@@ -653,7 +565,6 @@ int main(int argc, char** argv) {
   out << "  \"world\": {\"operators\": " << world.operators.size()
       << ", \"routers\": " << world.topology.size() << ", \"hostnames\": " << hostnames
       << ", \"suffix_groups\": " << groups.size() << "},\n";
-  out << "  \"model_io_us\": " << model_io_json(io) << ",\n";
   out << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];

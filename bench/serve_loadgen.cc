@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/hoiho.h"
-#include "core/ncb.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -302,11 +301,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<serve::ModelStore> store;
   std::unique_ptr<serve::Server> server;
   std::thread server_thread;
-  // Model save/load wall time per format (spawn mode only): the reload cost
-  // the daemon pays on every hot swap — text parse+compile vs ncb heap
-  // build vs ncb mmap. -1 when not measured (external mode).
-  double save_text_us = -1, save_ncb_us = -1;
-  double load_text_us = -1, load_ncb_us = -1, load_ncb_mmap_us = -1;
   if (opt.spawn) {
     std::vector<core::StoredConvention> stored;
     build_corpus(opt.operators, &stored, &hostnames);
@@ -314,40 +308,11 @@ int main(int argc, char** argv) {
     // full disk -> nc_io -> snapshot-swap path, same as the daemon.
     const std::string model_path = opt.json_path + ".model.tmp";
     std::string save_error;
-    std::uint64_t t0 = now_ns();
     if (!core::save_conventions_to_file(model_path, stored, geo::builtin_dictionary(),
                                         &save_error)) {
       std::fprintf(stderr, "loadgen: %s\n", save_error.c_str());
       return 2;
     }
-    save_text_us = static_cast<double>(now_ns() - t0) / 1e3;
-
-    // The same model as a binary image, loaded all three ways.
-    const std::string ncb_path = model_path + ".ncb";
-    t0 = now_ns();
-    if (!core::save_model_to_file(ncb_path, stored, geo::builtin_dictionary(),
-                                  &save_error)) {
-      std::fprintf(stderr, "loadgen: %s\n", save_error.c_str());
-      return 2;
-    }
-    save_ncb_us = static_cast<double>(now_ns() - t0) / 1e3;
-    const auto time_reload = [](serve::ModelStore& s) -> double {
-      const std::uint64_t r0 = now_ns();
-      if (s.reload()) return -1;  // error
-      return static_cast<double>(now_ns() - r0) / 1e3;
-    };
-    {
-      serve::ModelStore text_store(geo::builtin_dictionary(), model_path);
-      load_text_us = time_reload(text_store);
-      serve::ModelStore heap_store(geo::builtin_dictionary(), ncb_path);
-      heap_store.set_map_binary(false);
-      load_ncb_us = time_reload(heap_store);
-      serve::ModelStore mmap_store(geo::builtin_dictionary(), ncb_path);
-      load_ncb_mmap_us = time_reload(mmap_store);
-    }
-    std::remove(ncb_path.c_str());
-    std::printf("loadgen: model reload: text %.0fus, ncb %.0fus, ncb_mmap %.0fus\n",
-                load_text_us, load_ncb_us, load_ncb_mmap_us);
 
     store = std::make_unique<serve::ModelStore>(geo::builtin_dictionary(), model_path);
     if (const auto err = store->reload()) {
@@ -516,11 +481,6 @@ int main(int argc, char** argv) {
        << ", \"p999\": " << util::fmt_double(p999_ms, 3) << "},\n"
        << "  \"reload_mid_run\": {\"attempted\": " << (reload_attempted ? "true" : "false")
        << ", \"ok\": " << (reload_ok ? "true" : "false") << "},\n"
-       << "  \"model_io_us\": {\"save_text\": " << util::fmt_double(save_text_us, 0)
-       << ", \"save_ncb\": " << util::fmt_double(save_ncb_us, 0)
-       << ", \"load_text\": " << util::fmt_double(load_text_us, 0)
-       << ", \"load_ncb\": " << util::fmt_double(load_ncb_us, 0)
-       << ", \"load_ncb_mmap\": " << util::fmt_double(load_ncb_mmap_us, 0) << "},\n"
        << "  \"geob\": {\"batch_size\": " << opt.batch_size
        << ", \"batches\": " << geob.batches << ", \"subjects\": " << geob.subjects
        << ", \"geo_answers\": " << geob.geo << ", \"geo_misses\": " << geob.geo_miss

@@ -13,7 +13,6 @@
 // counts, so a conversion that drops data fails loudly.
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,25 +20,17 @@
 #include "core/nc_io.h"
 #include "core/ncb.h"
 #include "geo/dictionary.h"
+#include "util/file.h"
 
 using namespace hoiho;
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  out = os.str();
-  return true;
-}
-
 // Loads a model of either format into StoredConvention records.
 bool load_any(const std::string& path, const geo::GeoDictionary& dict,
               std::vector<core::StoredConvention>& out, std::string& format) {
   std::string bytes;
-  if (!read_file(path, bytes)) {
+  if (!util::read_file(path, &bytes)) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return false;
   }
@@ -108,7 +99,7 @@ int main(int argc, char** argv) {
   }
 
   std::string out_bytes;
-  read_file(out_path, out_bytes);
+  util::read_file(out_path, &out_bytes);
   std::printf("%s (%s) -> %s (%s): %zu conventions, %zu bytes\n", in_path.c_str(),
               in_format.c_str(), out_path.c_str(), out_format.c_str(), stored.size(),
               out_bytes.size());

@@ -172,20 +172,6 @@ bool save_model_delta_to_file(const std::string& path, const ModelDelta& delta,
   return write_model_file_atomic(path, serialize_model_delta(delta, dict), error);
 }
 
-namespace {
-
-std::optional<std::uint64_t> parse_u64_field(const std::string& s) {
-  if (s.empty() || s.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
-}  // namespace
-
 std::optional<ModelDelta> load_model_delta(std::istream& in, const geo::GeoDictionary& dict,
                                            std::string* error,
                                            std::vector<std::string>* warnings,
@@ -240,9 +226,9 @@ std::optional<ModelDelta> load_model_delta(std::istream& in, const geo::GeoDicti
       if (saw_header) return fail(where + ": duplicate D header");
       if (row.size() != 4)
         return fail(where + ": D record needs 4 fields, got " + std::to_string(row.size()));
-      const auto gen = parse_u64_field(row[1]);
-      const auto ups = parse_u64_field(row[2]);
-      const auto rms = parse_u64_field(row[3]);
+      const auto gen = util::parse_u64(row[1]);
+      const auto ups = util::parse_u64(row[2]);
+      const auto rms = util::parse_u64(row[3]);
       if (!gen || !ups || !rms) return fail(where + ": bad D header field");
       out.base_generation = *gen;
       want_upserts = *ups;

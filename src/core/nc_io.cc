@@ -1,8 +1,5 @@
 #include "core/nc_io.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +12,7 @@
 #include "regex/parser.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace hoiho::core {
@@ -302,70 +300,30 @@ std::optional<std::vector<StoredConvention>> load_conventions(
   return out;
 }
 
-namespace {
-
-bool fd_write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-}  // namespace
-
-bool write_model_file_atomic(const std::string& path, std::string_view data,
-                             std::string* error) {
-  auto fail = [&](const std::string& what, const std::string& tmp) {
-    if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    if (!tmp.empty()) ::unlink(tmp.c_str());
-    return false;
-  };
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  if (const auto f = util::failpoint::hit("nc.save")) {
-    errno = f.err;
-    return fail("save '" + path + "' (injected)", "");
-  }
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return fail("open '" + tmp + "'", "");
-  if (!fd_write_all(fd, data)) {
-    ::close(fd);
-    return fail("write '" + tmp + "'", tmp);
-  }
-  // fsync before rename: the rename must never become visible ahead of the
-  // data it points at, or a crash could publish an empty/torn model.
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return fail("fsync '" + tmp + "'", tmp);
-  }
-  if (::close(fd) != 0) return fail("close '" + tmp + "'", tmp);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) return fail("rename to '" + path + "'", tmp);
-
-  // Best-effort directory fsync so the rename itself is durable; some
-  // filesystems reject O_DIRECTORY fsync, which is fine to ignore.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
-}
-
-bool save_conventions_to_file(const std::string& path,
-                              const std::vector<StoredConvention>& conventions,
-                              const geo::GeoDictionary& dict, std::string* error) {
+std::string serialize_conventions(const std::vector<StoredConvention>& conventions,
+                                  const geo::GeoDictionary& dict) {
   std::ostringstream buf;
   save_conventions(buf, conventions, dict);
   std::string data = buf.str();
   data += checksum_footer_line(fnv1a_hash(data));
   data += '\n';
-  return write_model_file_atomic(path, data, error);
+  return data;
+}
+
+bool write_model_file_atomic(const std::string& path, std::string_view data,
+                             std::string* error) {
+  if (const auto f = util::failpoint::hit("nc.save")) {
+    errno = f.err;
+    if (error != nullptr) *error = "save '" + path + "' (injected): " + std::strerror(errno);
+    return false;
+  }
+  return util::write_file_atomic(path, data, error);
+}
+
+bool save_conventions_to_file(const std::string& path,
+                              const std::vector<StoredConvention>& conventions,
+                              const geo::GeoDictionary& dict, std::string* error) {
+  return write_model_file_atomic(path, serialize_conventions(conventions, dict), error);
 }
 
 }  // namespace hoiho::core

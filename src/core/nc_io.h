@@ -63,20 +63,25 @@ struct StoredConvention {
 void save_conventions(std::ostream& out, const std::vector<StoredConvention>& conventions,
                       const geo::GeoDictionary& dict);
 
-// Crash-safe raw-byte publish shared by the text and binary model savers:
-// writes to `path + ".tmp.<pid>"`, fsyncs, rename()s over `path`, and
-// best-effort fsyncs the directory, so a reader never observes a
-// half-written model. Honors the "nc.save" failpoint (chaos coverage for
-// every model-publish path). False with *error on any I/O failure (the tmp
-// file is removed).
+// The text model file's bytes: save_conventions output plus a
+// "# checksum,fnv1a,<hex>" footer over everything above it, which
+// load_conventions verifies when present — a torn or bit-flipped file is
+// rejected as a named error instead of silently loading a prefix. The text
+// twin of serialize_conventions_ncb.
+std::string serialize_conventions(const std::vector<StoredConvention>& conventions,
+                                  const geo::GeoDictionary& dict);
+
+// Crash-safe raw-byte publish shared by the text and binary model savers,
+// the delta writer and the serving generation archive:
+// util::write_file_atomic (tmp + fsync + rename + directory fsync), so a
+// reader never observes a half-written model. Honors the "nc.save"
+// failpoint (chaos coverage for every model-publish path). False with
+// *error on any I/O failure (the tmp file is removed).
 bool write_model_file_atomic(const std::string& path, std::string_view data,
                              std::string* error = nullptr);
 
-// Crash-safe save for files the daemon hot-reloads, via
-// write_model_file_atomic. Appends a "# checksum,fnv1a,<hex>" footer over
-// everything above it, which load_conventions verifies when present — a
-// torn or bit-flipped file is rejected as a named error instead of silently
-// loading a prefix. False with *error on any I/O failure.
+// serialize_conventions + write_model_file_atomic: the crash-safe save for
+// files the daemon hot-reloads. False with *error on any I/O failure.
 bool save_conventions_to_file(const std::string& path,
                               const std::vector<StoredConvention>& conventions,
                               const geo::GeoDictionary& dict, std::string* error = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 
 #include "util/csv.h"
@@ -11,15 +10,6 @@
 namespace hoiho::fuse {
 
 namespace {
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (c < '0' || c > '9') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
 
 double nc_confidence(const CandidateSet& set, const Candidate& c) {
   if (c.source == Source::kClaimed) return 0.50;
@@ -63,8 +53,8 @@ std::optional<PopulationPrior> PopulationPrior::load(std::istream& in,
     const std::string& city = row[0];
     const std::string state = row.size() == 4 ? util::to_lower(row[1]) : std::string();
     const std::string country = util::to_lower(row[row.size() - 2]);
-    std::uint64_t population = 0;
-    if (!parse_u64(row.back(), &population)) {
+    const auto population = util::parse_u64(row.back());
+    if (!population) {
       if (!rep.skip(opt, "bad_number", lineno, "non-numeric population")) return std::nullopt;
       continue;
     }
@@ -78,7 +68,7 @@ std::optional<PopulationPrior> PopulationPrior::load(std::istream& in,
     for (const geo::LocationId id : ids) {
       if (!country.empty() && !dict.matches_country(country, id)) continue;
       if (!state.empty() && !dict.matches_state(state, id)) continue;
-      prior.set(id, population);
+      prior.set(id, *population);
       ++applied;
     }
     if (applied == 0) {

@@ -26,15 +26,6 @@ bool parse_double(const std::string& s, double* out) {
   return end == s.c_str() + s.size();
 }
 
-bool parse_index(const std::string& s, std::size_t* out) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (c < '0' || c > '9') return false;
-  char* end = nullptr;
-  *out = static_cast<std::size_t>(std::strtoull(s.c_str(), &end, 10));
-  return end == s.c_str() + s.size();
-}
-
 }  // namespace
 
 void save_dictionary(std::ostream& out, const GeoDictionary& dict) {
@@ -94,14 +85,14 @@ std::optional<GeoDictionary> load_dictionary(std::istream& in, const io::LoadOpt
       loc.city = row[1];
       loc.state = util::to_lower(row[2]);
       loc.country = util::to_lower(row[3]);
-      std::size_t population = 0;
+      const auto population = util::parse_u64(row[6]);
       if (!parse_double(row[4], &loc.coord.lat) || !parse_double(row[5], &loc.coord.lon) ||
-          !parse_index(row[6], &population)) {
+          !population) {
         if (!rep.skip(opt, "bad_number", lineno, "non-numeric coordinate or population"))
           return std::nullopt;
         continue;
       }
-      loc.population = population;
+      loc.population = *population;
       dict.add_location(std::move(loc));
       ++rep.records;
     } else if (row[0] == "C") {
@@ -115,39 +106,39 @@ std::optional<GeoDictionary> load_dictionary(std::istream& in, const io::LoadOpt
           return std::nullopt;
         continue;
       }
-      std::size_t idx = 0;
-      if (!parse_index(row[3], &idx) || idx >= dict.size()) {
+      const auto idx = util::parse_u64(row[3]);
+      if (!idx || *idx >= dict.size()) {
         if (!rep.skip(opt, "index_out_of_range", lineno, "location index out of range"))
           return std::nullopt;
         continue;
       }
-      dict.add_code(*type, row[2], static_cast<LocationId>(idx));
+      dict.add_code(*type, row[2], static_cast<LocationId>(*idx));
       ++rep.records;
     } else if (row[0] == "A") {
       if (row.size() < 3) {
         if (!rep.skip(opt, "bad_fields", lineno, "A record needs 3 fields")) return std::nullopt;
         continue;
       }
-      std::size_t idx = 0;
-      if (!parse_index(row[2], &idx) || idx >= dict.size()) {
+      const auto idx = util::parse_u64(row[2]);
+      if (!idx || *idx >= dict.size()) {
         if (!rep.skip(opt, "index_out_of_range", lineno, "location index out of range"))
           return std::nullopt;
         continue;
       }
-      dict.add_city_alias(row[1], static_cast<LocationId>(idx));
+      dict.add_city_alias(row[1], static_cast<LocationId>(*idx));
       ++rep.records;
     } else if (row[0] == "F") {
       if (row.size() < 3) {
         if (!rep.skip(opt, "bad_fields", lineno, "F record needs 3 fields")) return std::nullopt;
         continue;
       }
-      std::size_t idx = 0;
-      if (!parse_index(row[2], &idx) || idx >= dict.size()) {
+      const auto idx = util::parse_u64(row[2]);
+      if (!idx || *idx >= dict.size()) {
         if (!rep.skip(opt, "index_out_of_range", lineno, "location index out of range"))
           return std::nullopt;
         continue;
       }
-      dict.add_facility_address(row[1], static_cast<LocationId>(idx));
+      dict.add_facility_address(row[1], static_cast<LocationId>(*idx));
       ++rep.records;
     } else {
       if (!rep.skip(opt, "unknown_record", lineno, "unknown record type '" + row[0] + "'"))

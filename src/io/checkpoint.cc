@@ -7,13 +7,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/nc_io.h"
 #include "regex/parser.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace hoiho::io {
@@ -29,19 +30,6 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-bool parse_u64(std::string_view s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
 bool parse_hex16(std::string_view s, std::uint64_t* out) {
   if (s.size() != 16) return false;
   std::uint64_t v = 0;
@@ -53,51 +41,6 @@ bool parse_hex16(std::string_view s, std::uint64_t* out) {
     v = v * 16 + static_cast<std::uint64_t>(d);
   }
   *out = v;
-  return true;
-}
-
-bool fd_write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-// Atomic small-file rewrite: tmp + fsync + rename + best-effort dir fsync —
-// the same discipline as core::save_conventions_to_file, so a crash leaves
-// either the old manifest or the new one, never a torn in-between.
-bool atomic_write(const std::string& path, std::string_view data, std::string* why) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  auto fail = [&](const std::string& what, bool unlink_tmp) {
-    if (why != nullptr) *why = what + ": " + std::strerror(errno);
-    if (unlink_tmp) ::unlink(tmp.c_str());
-    return false;
-  };
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return fail("open '" + tmp + "'", false);
-  if (!fd_write_all(fd, data)) {
-    ::close(fd);
-    return fail("write '" + tmp + "'", true);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return fail("fsync '" + tmp + "'", true);
-  }
-  if (::close(fd) != 0) return fail("close '" + tmp + "'", true);
-  if (::rename(tmp.c_str(), path.c_str()) != 0)
-    return fail("rename to '" + path + "'", true);
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
   return true;
 }
 
@@ -193,19 +136,18 @@ class WalParser {
     if (row.empty()) return fail(why, where + ": empty record");
     const std::string& kind = row[0];
     if (kind == "B") {
-      std::uint64_t index = 0, count = 0;
-      if (in_batch_ || row.size() != 3 || !parse_u64(row[1], &index) ||
-          !parse_u64(row[2], &count) || index != batches_)
-        return fail(why, where + ": bad batch header");
+      if (in_batch_ || row.size() != 3) return fail(why, where + ": bad batch header");
+      const auto index = util::parse_u64(row[1]), count = util::parse_u64(row[2]);
+      if (!index || !count || *index != batches_) return fail(why, where + ": bad batch header");
       in_batch_ = true;
-      expected_ = count;
+      expected_ = *count;
       in_batch_results_ = 0;
       return true;
     }
     if (kind == "C") {
-      std::uint64_t index = 0;
-      if (!in_batch_ || row.size() != 2 || !parse_u64(row[1], &index) || index != batches_ ||
-          in_batch_results_ != expected_)
+      if (!in_batch_ || row.size() != 2) return fail(why, where + ": bad commit marker");
+      const auto index = util::parse_u64(row[1]);
+      if (!index || *index != batches_ || in_batch_results_ != expected_)
         return fail(why, where + ": bad commit marker");
       if (!finish_result(why, where)) return false;
       in_batch_ = false;
@@ -223,28 +165,29 @@ class WalParser {
       core::SuffixResult r;
       r.suffix = row[1];
       const auto cls = core::nc_class_from_token(row[2]);
-      std::uint64_t hosts = 0, tagged = 0, sets = 0;
-      core::EvalCounts& c = r.eval.counts;
-      std::uint64_t tp = 0, fp = 0, fn = 0, unk = 0, none = 0, budget = 0;
+      const auto hosts = util::parse_u64(row[3]), tagged = util::parse_u64(row[4]),
+                 sets = util::parse_u64(row[5]), tp = util::parse_u64(row[6]),
+                 fp = util::parse_u64(row[7]), fn = util::parse_u64(row[8]),
+                 unk = util::parse_u64(row[9]), none = util::parse_u64(row[10]),
+                 budget = util::parse_u64(row[11]);
       std::uint64_t fingerprint = 0;
-      if (!cls || !parse_u64(row[3], &hosts) || !parse_u64(row[4], &tagged) ||
-          !parse_u64(row[5], &sets) || !parse_u64(row[6], &tp) || !parse_u64(row[7], &fp) ||
-          !parse_u64(row[8], &fn) || !parse_u64(row[9], &unk) || !parse_u64(row[10], &none) ||
-          !parse_u64(row[11], &budget) || hosts == 0 || r.suffix.empty() ||
+      if (!cls || !hosts || !tagged || !sets || !tp || !fp || !fn || !unk || !none || !budget ||
+          *hosts == 0 || r.suffix.empty() ||
           (row.size() == 13 && !parse_hex16(row[12], &fingerprint)))
         return fail(why, where + ": bad X record");
       r.fingerprint = fingerprint;
       r.cls = *cls;
-      r.hostname_count = hosts;
-      r.tagged_count = tagged;
-      c.tp = tp;
-      c.fp = fp;
-      c.fn = fn;
-      c.unk = unk;
-      c.none = none;
-      c.budget_exhausted = budget;
+      r.hostname_count = *hosts;
+      r.tagged_count = *tagged;
+      core::EvalCounts& c = r.eval.counts;
+      c.tp = *tp;
+      c.fp = *fp;
+      c.fn = *fn;
+      c.unk = *unk;
+      c.none = *none;
+      c.budget_exhausted = *budget;
       cur_ = std::move(r);
-      cur_sets_ = sets;
+      cur_sets_ = *sets;
       have_cur_ = true;
       ++in_batch_results_;
       return true;
@@ -283,12 +226,12 @@ class WalParser {
         h.type = *type;
         h.code = row[2];
         h.location = loc;
-        std::uint64_t tp = 0, fp = 0, existing = 0;
-        if (!parse_u64(row[3], &tp) || !parse_u64(row[4], &fp) || !parse_u64(row[5], &existing))
-          return fail(why, where + ": bad H counts");
-        h.tp = tp;
-        h.fp = fp;
-        h.existing_tp = existing;
+        const auto tp = util::parse_u64(row[3]), fp = util::parse_u64(row[4]),
+                   existing = util::parse_u64(row[5]);
+        if (!tp || !fp || !existing) return fail(why, where + ": bad H counts");
+        h.tp = *tp;
+        h.fp = *fp;
+        h.existing_tp = *existing;
         cur_.learned.push_back(std::move(h));
       } else {
         cur_.nc.learned[core::LearnedKey{*type, row[2]}] = loc;
@@ -301,11 +244,11 @@ class WalParser {
       return true;
     }
     if (kind == "V") {
-      std::uint64_t index = 0;
-      if (row.size() != 3 || !parse_u64(row[1], &index) || index >= cur_sets_)
-        return fail(why, where + ": bad V record");
+      if (row.size() != 3) return fail(why, where + ": bad V record");
+      const auto index = util::parse_u64(row[1]);
+      if (!index || *index >= cur_sets_) return fail(why, where + ": bad V record");
       cur_.eval.regex_unique_tp.resize(cur_sets_);
-      cur_.eval.regex_unique_tp[index].insert(row[2]);
+      cur_.eval.regex_unique_tp[*index].insert(row[2]);
       return true;
     }
     return fail(why, where + ": unknown record type '" + kind + "'");
@@ -344,23 +287,13 @@ Checkpoint::~Checkpoint() {
 bool Checkpoint::load_existing(Resume* out, std::string* why) {
   // Manifest first: it is the commit point.
   std::string manifest;
-  {
-    std::ifstream in(dir_ + "/MANIFEST", std::ios::binary);
-    if (!in.is_open()) {
-      *why = "manifest unreadable";
-      return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      *why = "manifest read error";
-      return false;
-    }
-    manifest = buf.str();
+  if (!util::read_file(dir_ + "/MANIFEST", &manifest)) {
+    *why = "manifest unreadable";
+    return false;
   }
-  std::uint64_t batches = 0, results = 0, wal_bytes = 0, wal_fnv = 0, sig = 0;
-  bool have_sig = false, have_batches = false, have_results = false, have_bytes = false,
-       have_fnv = false, footer_ok = false;
+  std::optional<std::uint64_t> batches, results, wal_bytes;
+  std::uint64_t wal_fnv = 0, sig = 0;
+  bool have_sig = false, have_fnv = false, footer_ok = false;
   {
     std::uint64_t hash = core::kFnvSeed;
     std::size_t pos = 0;
@@ -379,13 +312,13 @@ bool Checkpoint::load_existing(Resume* out, std::string* why) {
       const util::CsvRow row = util::parse_csv_line(line);
       if (row.size() != 2) continue;
       if (row[0] == "sig") have_sig = parse_hex16(row[1], &sig);
-      else if (row[0] == "batches") have_batches = parse_u64(row[1], &batches);
-      else if (row[0] == "results") have_results = parse_u64(row[1], &results);
-      else if (row[0] == "wal_bytes") have_bytes = parse_u64(row[1], &wal_bytes);
+      else if (row[0] == "batches") batches = util::parse_u64(row[1]);
+      else if (row[0] == "results") results = util::parse_u64(row[1]);
+      else if (row[0] == "wal_bytes") wal_bytes = util::parse_u64(row[1]);
       else if (row[0] == "wal_fnv") have_fnv = parse_hex16(row[1], &wal_fnv);
     }
   }
-  if (!footer_ok || !have_sig || !have_batches || !have_results || !have_bytes || !have_fnv) {
+  if (!footer_ok || !have_sig || !batches || !results || !wal_bytes || !have_fnv) {
     *why = "manifest corrupt (checksum or missing fields)";
     return false;
   }
@@ -401,15 +334,15 @@ bool Checkpoint::load_existing(Resume* out, std::string* why) {
     *why = std::string("wal unreadable: ") + std::strerror(errno);
     return false;
   }
-  std::string wal(wal_bytes, '\0');
+  std::string wal(*wal_bytes, '\0');
   std::size_t got = 0;
-  while (got < wal_bytes) {
-    const ssize_t n = ::read(fd, wal.data() + got, wal_bytes - got);
+  while (got < *wal_bytes) {
+    const ssize_t n = ::read(fd, wal.data() + got, *wal_bytes - got);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     got += static_cast<std::size_t>(n);
   }
-  if (got != wal_bytes) {
+  if (got != *wal_bytes) {
     ::close(fd);
     *why = "wal shorter than manifest commit point";
     return false;
@@ -426,12 +359,12 @@ bool Checkpoint::load_existing(Resume* out, std::string* why) {
     ::close(fd);
     return false;
   }
-  if (parsed_batches != batches || parsed.size() != results) {
+  if (parsed_batches != *batches || parsed.size() != *results) {
     ::close(fd);
     *why = "wal record counts disagree with manifest";
     return false;
   }
-  if (::ftruncate(fd, static_cast<off_t>(wal_bytes)) != 0 ||
+  if (::ftruncate(fd, static_cast<off_t>(*wal_bytes)) != 0 ||
       ::lseek(fd, 0, SEEK_END) < 0) {
     ::close(fd);
     *why = std::string("wal truncate failed: ") + std::strerror(errno);
@@ -439,11 +372,11 @@ bool Checkpoint::load_existing(Resume* out, std::string* why) {
   }
 
   wal_fd_ = fd;
-  batches_ = batches;
-  results_ = results;
-  wal_bytes_ = wal_bytes;
+  batches_ = *batches;
+  results_ = *results;
+  wal_bytes_ = *wal_bytes;
   wal_hash_ = wal_fnv;
-  out->batches = batches;
+  out->batches = *batches;
   out->results = std::move(parsed);
   return true;
 }
@@ -462,7 +395,7 @@ bool Checkpoint::start_fresh(std::string* why) {
     *why = std::string("cannot create wal: ") + std::strerror(errno);
     return false;
   }
-  if (!fd_write_all(fd, header) || ::fsync(fd) != 0) {
+  if (!util::fd_write_all(fd, header) || ::fsync(fd) != 0) {
     *why = std::string("cannot write wal header: ") + std::strerror(errno);
     ::close(fd);
     return false;
@@ -486,7 +419,7 @@ bool Checkpoint::rewrite_manifest(std::string* why) {
   body += "wal_fnv," + hex16(wal_hash_) + '\n';
   body += core::checksum_footer_line(core::fnv1a_hash(body));
   body += '\n';
-  return atomic_write(dir_ + "/MANIFEST", body, why);
+  return util::write_file_atomic(dir_ + "/MANIFEST", body, why);
 }
 
 Checkpoint::Resume Checkpoint::open() {
@@ -529,7 +462,7 @@ bool Checkpoint::commit_batch(std::span<const core::SuffixResult> results,
   const std::string block = buf.str();
   // WAL append is fsynced BEFORE the manifest rename: the manifest must
   // never commit bytes that could still be lost.
-  if (!fd_write_all(wal_fd_, block))
+  if (!util::fd_write_all(wal_fd_, block))
     return fail(std::string("wal append: ") + std::strerror(errno));
   if (::fsync(wal_fd_) != 0) return fail(std::string("wal fsync: ") + std::strerror(errno));
   const std::uint64_t new_hash = core::fnv1a_hash(block, wal_hash_);

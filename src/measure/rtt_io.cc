@@ -21,15 +21,6 @@ bool parse_double(const std::string& s, double* out) {
   return end == s.c_str() + s.size();
 }
 
-bool parse_index(const std::string& s, std::size_t* out) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (c < '0' || c > '9') return false;
-  char* end = nullptr;
-  *out = static_cast<std::size_t>(std::strtoull(s.c_str(), &end, 10));
-  return end == s.c_str() + s.size();
-}
-
 }  // namespace
 
 void save_measurements(std::ostream& out, const Measurements& meas) {
@@ -113,13 +104,13 @@ std::optional<Measurements> load_measurements(std::istream& in, std::size_t rout
         continue;
       }
       Sample s;
-      std::size_t router_idx = 0;
-      if (!parse_index(row[1], &router_idx) || !parse_double(row[3], &s.rtt)) {
+      const auto router_idx = util::parse_u64(row[1]);
+      if (!router_idx || !parse_double(row[3], &s.rtt)) {
         if (!rep.skip(opt, "bad_number", lineno, "non-numeric router id or RTT"))
           return std::nullopt;
         continue;
       }
-      if (router_idx >= router_count) {
+      if (*router_idx >= router_count) {
         if (!rep.skip(opt, "router_out_of_range", lineno,
                       "router id " + row[1] + " out of range (topology has " +
                           std::to_string(router_count) + " routers)"))
@@ -135,7 +126,7 @@ std::optional<Measurements> load_measurements(std::istream& in, std::size_t rout
                  std::to_string(opt.max_records) + " samples (record cap)");
         return std::nullopt;
       }
-      s.router = static_cast<topo::RouterId>(router_idx);
+      s.router = static_cast<topo::RouterId>(*router_idx);
       s.vp = row[2];
       s.lineno = lineno;
       samples.push_back(std::move(s));

@@ -5,31 +5,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "serve/protocol.h"
 #include "util/failpoint.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace hoiho::serve {
 
 namespace {
-
-// Reads a whole file; false on open/read failure. Model files are small
-// (the daemon reloads them whole anyway), so buffering in memory lets one
-// read feed parsing, the canary build, and the generation archive.
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return false;
-  *out = buf.str();
-  return true;
-}
 
 // Reads just enough of the file to sniff the model format (the ncb magic is
 // 8 bytes). Keeps the mmap reload path from reading the whole model only to
@@ -40,25 +27,6 @@ bool read_head(const std::string& path, std::string* out) {
   char buf[8] = {};
   in.read(buf, sizeof buf);
   out->assign(buf, static_cast<std::size_t>(in.gcount()));
-  return true;
-}
-
-bool write_file_durable(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      ::unlink(tmp.c_str());
-      return false;
-    }
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
   return true;
 }
 
@@ -73,55 +41,7 @@ std::optional<std::uint64_t> gen_from_name(std::string_view name) {
     ext = 3;
   else
     return std::nullopt;
-  const std::string_view digits = name.substr(4, name.size() - 4 - ext);
-  if (digits.empty() || digits.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
-// Builds a snapshot from parsed conventions — the shared tail of the text
-// reload and rollback paths (install has its own copy to keep its
-// always-succeeds contract). The full list (kPoor included) is retained as
-// snap->stored in canonical order so apply_delta can merge against it.
-std::shared_ptr<ModelSnapshot> build_snapshot(const geo::GeoDictionary& dict,
-                                              std::vector<core::StoredConvention> loaded,
-                                              std::string source,
-                                              std::vector<std::string> warnings,
-                                              std::shared_ptr<const fuse::FuseContext> fuse) {
-  auto snap = std::make_shared<ModelSnapshot>(dict);
-  snap->source = std::move(source);
-  snap->warnings = std::move(warnings);
-  snap->fuse = std::move(fuse);
-  for (const core::StoredConvention& sc : loaded) {
-    if (sc.cls == core::NcClass::kPoor) continue;  // unusable per stage 5
-    snap->geolocator.add(sc.nc, sc.cls);
-  }
-  snap->convention_count = snap->geolocator.convention_count();
-  snap->program_count = snap->geolocator.program_count();
-  core::sort_conventions(loaded);
-  snap->stored = std::move(loaded);
-  return snap;
-}
-
-// Binary twin: the Geolocator is assembled as views over the model (no
-// regex recompilation); the snapshot pins the mapping via snap->ncb.
-std::shared_ptr<ModelSnapshot> build_snapshot_ncb(const geo::GeoDictionary& dict,
-                                                  std::shared_ptr<const core::NcbModel> model,
-                                                  std::string source,
-                                                  std::shared_ptr<const fuse::FuseContext> fuse) {
-  auto snap = std::make_shared<ModelSnapshot>(dict);
-  snap->source = std::move(source);
-  snap->fuse = std::move(fuse);
-  snap->format = model->mapped() ? "ncb_mmap" : "ncb";
-  model->build_geolocator(snap->geolocator, &snap->warnings);
-  snap->convention_count = snap->geolocator.convention_count();
-  snap->program_count = snap->geolocator.program_count();
-  snap->ncb = std::move(model);
-  return snap;
+  return util::parse_u64(name.substr(4, name.size() - 4 - ext));
 }
 
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
@@ -130,17 +50,29 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
                                         .count());
 }
 
-}  // namespace
-
-ModelStore::ModelStore(const geo::GeoDictionary& dict, std::string path)
-    : dict_(dict), path_(std::move(path)) {
-  auto empty = std::make_shared<ModelSnapshot>(dict_);
-  empty->source = path_.empty() ? "<memory>" : path_;
-  std::lock_guard lock(snap_mu_);
-  snap_ = std::move(empty);
+// The watch outcome of acting on a file that held still.
+ModelStore::WatchOutcome acted(const std::optional<std::string>& err, std::string* error) {
+  if (!err) return ModelStore::WatchOutcome::kReloaded;
+  if (error != nullptr) *error = *err;
+  return ModelStore::WatchOutcome::kReloadFailed;
 }
 
-ModelStore::FileStamp ModelStore::file_stamp(const std::string& path) {
+}  // namespace
+
+struct ModelStore::Candidate {
+  std::shared_ptr<ModelSnapshot> snap;
+  std::string text;  // a text model's bytes as read
+  // What the generation archive keeps: the text as read, or the ncb image
+  // (for a mapped model, a view into the mapping the snapshot pins).
+  std::string_view archive_bytes() const {
+    return snap->ncb != nullptr ? snap->ncb->raw_bytes() : std::string_view(text);
+  }
+};
+
+ModelStore::ModelStore(const geo::GeoDictionary& dict, std::string path)
+    : dict_(dict), path_(std::move(path)), snap_(std::make_shared<ModelSnapshot>(dict_)) {}
+
+ModelStore::FileStamp ModelStore::FileStamp::of(const std::string& path) {
   struct stat st{};
   FileStamp fs;
   if (::stat(path.c_str(), &st) != 0) return fs;
@@ -150,40 +82,102 @@ ModelStore::FileStamp ModelStore::file_stamp(const std::string& path) {
   return fs;
 }
 
-void ModelStore::swap_in_locked(std::shared_ptr<ModelSnapshot> snap) {
-  snap->generation = next_generation_++;
-  if (metrics_ != nullptr)
-    metrics_->model_generation.set(static_cast<std::int64_t>(snap->generation));
-  std::shared_ptr<const ModelSnapshot> next(std::move(snap));
-  {
-    std::lock_guard lock(snap_mu_);
-    snap_.swap(next);
+std::optional<ModelStore::WatchOutcome> ModelStore::FileWatch::step() {
+  if (path.empty()) return WatchOutcome::kUnchanged;
+  const FileStamp now = FileStamp::of(path);
+  if (!now.exists || now.same(seen)) {
+    // A missing file is the mid-rename window of a deploy (or a deleted
+    // file): keep serving and keep watching; it is not a failed load.
+    pending = {};
+    return now.exists ? WatchOutcome::kUnchanged : WatchOutcome::kMissing;
   }
-  // `next` (the previous snapshot) is released outside the lock when it
-  // goes out of scope — possibly the last reference, freeing the model.
+  if (!now.same(pending)) {
+    // New stamp: wait until it holds still for one full poll interval so we
+    // don't read a file another process is still writing.
+    pending = now;
+    return WatchOutcome::kDebounced;
+  }
+  // Record before acting: a failed load or apply is reported once per file
+  // change, not once per poll.
+  pending = {};
+  seen = now;
+  return std::nullopt;
 }
 
 std::optional<std::string> ModelStore::publish_locked(std::shared_ptr<ModelSnapshot> snap,
-                                                      const PublishOptions& opts,
+                                                      bool canary,
+                                                      std::string_view archive_bytes,
                                                       std::uint64_t* new_generation) {
-  if (!opts.bypass_canary) {
+  if (canary) {
     if (const auto rejected = canary_check_locked(*snap)) {
       if (metrics_ != nullptr) metrics_->reload_rejected.inc();
       return rejected;
     }
   }
-  const std::uint64_t gen = next_generation_;
-  swap_in_locked(std::move(snap));
-  if (!opts.archive_bytes.empty()) archive_locked(gen, opts.archive_bytes);
+  const std::uint64_t gen = next_generation_++;
+  snap->generation = gen;
+  if (metrics_ != nullptr) metrics_->model_generation.set(static_cast<std::int64_t>(gen));
+  {
+    // `previous` outlives the lock: it may be the last reference, and the
+    // old model is freed outside snap_mu_.
+    std::shared_ptr<const ModelSnapshot> previous(std::move(snap));
+    std::lock_guard lock(snap_mu_);
+    snap_.swap(previous);
+  }
+  if (!archive_bytes.empty()) archive_locked(gen, archive_bytes);
   if (new_generation != nullptr) *new_generation = gen;
   return std::nullopt;
 }
 
-std::optional<std::string> ModelStore::publish(std::shared_ptr<ModelSnapshot> snap,
-                                               const PublishOptions& opts,
-                                               std::uint64_t* new_generation) {
-  std::lock_guard lock(reload_mu_);
-  return publish_locked(std::move(snap), opts, new_generation);
+std::shared_ptr<ModelSnapshot> ModelStore::build_snapshot_locked(
+    std::vector<core::StoredConvention> conventions, std::vector<std::string> warnings,
+    std::shared_ptr<const core::NcbModel> ncb) const {
+  auto snap = std::make_shared<ModelSnapshot>(dict_);
+  snap->fuse = fuse_ctx_;
+  snap->warnings = std::move(warnings);
+  if (ncb != nullptr) {
+    snap->format = ncb->mapped() ? "ncb_mmap" : "ncb";
+    ncb->build_geolocator(snap->geolocator, &snap->warnings);
+    snap->ncb = std::move(ncb);
+  } else {
+    for (const core::StoredConvention& sc : conventions)
+      if (sc.cls != core::NcClass::kPoor) snap->geolocator.add(sc.nc, sc.cls);
+    core::sort_conventions(conventions);
+    snap->stored = std::move(conventions);
+  }
+  snap->convention_count = snap->geolocator.convention_count();
+  snap->program_count = snap->geolocator.program_count();
+  return snap;
+}
+
+std::optional<std::string> ModelStore::load_locked(const std::string& file, bool map,
+                                                   const std::string& what,
+                                                   Candidate* out) const {
+  // Sniff the format from the first bytes so one store serves both: the ncb
+  // magic picks the binary loader, anything else is text.
+  std::string head;
+  if (!read_head(file, &head)) return "cannot open " + what;
+  std::string error;
+  if (core::detect_model_format(head) == core::ModelFormat::kNcb) {
+    std::shared_ptr<const core::NcbModel> model;
+    if (map) {
+      model = core::NcbModel::open(file, &error);
+    } else {
+      std::string bytes;
+      if (!util::read_file(file, &bytes)) return "cannot open " + what;
+      model = core::NcbModel::from_bytes(bytes, &error);
+    }
+    if (model == nullptr) return what + ": " + error;
+    out->snap = build_snapshot_locked({}, {}, std::move(model));
+    return std::nullopt;
+  }
+  if (!util::read_file(file, &out->text)) return "cannot open " + what;
+  std::vector<std::string> warnings;
+  std::istringstream in(out->text);
+  auto loaded = core::load_conventions(in, dict_, &error, &warnings);
+  if (!loaded) return what + ": " + error;
+  out->snap = build_snapshot_locked(std::move(*loaded), std::move(warnings));
+  return std::nullopt;
 }
 
 std::optional<std::string> ModelStore::reload() {
@@ -196,74 +190,44 @@ std::optional<std::string> ModelStore::reload_locked() {
   const auto t0 = std::chrono::steady_clock::now();
   // Record the stamp before parsing so a write racing the load triggers one
   // more watch cycle rather than being missed.
-  loaded_stamp_ = file_stamp(path_);
-  if (const auto f = util::failpoint::hit("store.reload"))
-    return "model file '" + path_ + "': injected reload failure";
-
-  // Sniff the format from the first bytes so one store serves both: the ncb
-  // magic picks the binary loader, anything else is text.
-  std::string head;
-  if (!read_head(path_, &head)) return "cannot open model file '" + path_ + "'";
-
-  std::shared_ptr<ModelSnapshot> snap;
-  std::string owned_bytes;            // text / heap-ncb bytes, kept for the archive
-  std::string_view archive_bytes;    // what archive_locked persists
-  if (core::detect_model_format(head) == core::ModelFormat::kNcb) {
-    std::string error;
-    std::shared_ptr<const core::NcbModel> model;
-    if (map_binary_) {
-      model = core::NcbModel::open(path_, &error);
-    } else {
-      if (!read_file(path_, &owned_bytes)) return "cannot open model file '" + path_ + "'";
-      model = core::NcbModel::from_bytes(owned_bytes, &error);
-    }
-    if (model == nullptr) return "model file '" + path_ + "': " + error;
-    snap = build_snapshot_ncb(dict_, std::move(model), path_, fuse_ctx_);
-    archive_bytes = snap->ncb->raw_bytes();
-  } else {
-    if (!read_file(path_, &owned_bytes)) return "cannot open model file '" + path_ + "'";
-    std::string error;
-    std::vector<std::string> warnings;
-    std::istringstream in(owned_bytes);
-    auto loaded = core::load_conventions(in, dict_, &error, &warnings);
-    if (!loaded) return "model file '" + path_ + "': " + error;
-    snap = build_snapshot(dict_, std::move(*loaded), path_, std::move(warnings), fuse_ctx_);
-    archive_bytes = owned_bytes;
-  }
-
-  const std::string format = snap->format;
-  const std::size_t mapped = snap->ncb != nullptr ? snap->ncb->bytes_mapped() : 0;
-  PublishOptions opts;
-  opts.archive_bytes = archive_bytes;
-  if (const auto rejected = publish_locked(std::move(snap), opts, nullptr)) {
+  model_watch_.seen = FileStamp::of(path_);
+  const std::string what = "model file '" + path_ + "'";
+  if (util::failpoint::hit("store.reload")) return what + ": injected reload failure";
+  Candidate c;
+  if (auto err = load_locked(path_, /*map=*/true, what, &c)) return err;
+  if (const auto rejected = publish_locked(c.snap, /*canary=*/true, c.archive_bytes(), nullptr)) {
     // The candidate parsed but fails the health gate: keep the previous
-    // generation serving. loaded_stamp_ was already recorded, so the
+    // generation serving. The watch stamp was already recorded, so the
     // watcher won't retry the same bad file every poll.
-    return "model file '" + path_ + "': " + *rejected;
+    return what + ": " + *rejected;
   }
-  // Stash the load facts even when no metrics are attached yet: the boot
-  // load precedes the server's registry, and set_metrics replays the stash
-  // so the load-path counters are truthful for a daemon that never swaps.
-  pending_load_us_ = static_cast<long long>(elapsed_us(t0));
-  pending_load_format_ = format;
-  pending_load_mapped_ = mapped;
-  if (metrics_ != nullptr) record_pending_load_locked();
+  record_load_locked(t0, *c.snap);
   return std::nullopt;
 }
 
+void ModelStore::record_load_locked(std::chrono::steady_clock::time_point t0,
+                                    const ModelSnapshot& snap) {
+  // Stash the load facts even when no metrics are attached yet: the boot
+  // load precedes the server's registry, and set_metrics replays the stash
+  // so the load-path counters are truthful for a daemon that never swaps.
+  pending_load_ = LoadCost{elapsed_us(t0), snap.format,
+                           snap.ncb != nullptr ? snap.ncb->bytes_mapped() : 0};
+  record_pending_load_locked();
+}
+
 void ModelStore::record_pending_load_locked() {
-  if (pending_load_us_ < 0) return;
-  const auto us = static_cast<std::uint64_t>(pending_load_us_);
-  metrics_->reload_us.observe(static_cast<double>(us));
-  if (pending_load_format_ == "ncb_mmap") {
-    metrics_->load_build_us_ncb_mmap.add(us);
-    metrics_->load_bytes_mapped.add(pending_load_mapped_);
-  } else if (pending_load_format_ == "ncb") {
-    metrics_->load_build_us_ncb.add(us);
+  if (metrics_ == nullptr || !pending_load_) return;
+  const LoadCost& load = *pending_load_;
+  metrics_->reload_us.observe(static_cast<double>(load.us));
+  if (load.format == "ncb_mmap") {
+    metrics_->load_build_us_ncb_mmap.add(load.us);
+    metrics_->load_bytes_mapped.add(load.mapped);
+  } else if (load.format == "ncb") {
+    metrics_->load_build_us_ncb.add(load.us);
   } else {
-    metrics_->load_build_us_text.add(us);
+    metrics_->load_build_us_text.add(load.us);
   }
-  pending_load_us_ = -1;
+  pending_load_.reset();
 }
 
 void ModelStore::set_metrics(Metrics* metrics) {
@@ -283,15 +247,9 @@ void ModelStore::set_keep_generations(std::size_t n) {
   if (n > 0 && !path_.empty()) scan_archive_locked();
 }
 
-void ModelStore::set_canary(std::string path, std::size_t max_failures) {
+void ModelStore::set_canary(std::string path) {
   std::lock_guard lock(reload_mu_);
   canary_path_ = std::move(path);
-  canary_max_failures_ = max_failures;
-}
-
-void ModelStore::set_map_binary(bool on) {
-  std::lock_guard lock(reload_mu_);
-  map_binary_ = on;
 }
 
 std::string ModelStore::gen_file(std::uint64_t gen, core::ModelFormat format) const {
@@ -327,7 +285,8 @@ void ModelStore::archive_locked(std::uint64_t gen, std::string_view bytes) {
   ::mkdir(gens_dir().c_str(), 0755);  // EEXIST is the common case
   // Best-effort: a full disk must not turn a healthy publish into a failed
   // reload — the archive exists to serve rollbacks, not to gate serving.
-  if (!write_file_durable(gen_file(gen, core::detect_model_format(bytes)), bytes)) return;
+  if (!core::write_model_file_atomic(gen_file(gen, core::detect_model_format(bytes)), bytes))
+    return;
   std::vector<std::uint64_t> gens = list_generations_locked();
   for (std::size_t i = 0; gens.size() - i > keep_generations_; ++i) {
     ::unlink(gen_file(gens[i], core::ModelFormat::kText).c_str());
@@ -339,7 +298,7 @@ std::optional<std::string> ModelStore::canary_check_locked(
     const ModelSnapshot& candidate) const {
   if (canary_path_.empty()) return std::nullopt;
   std::string text;
-  if (!read_file(canary_path_, &text))
+  if (!util::read_file(canary_path_, &text))
     return "canary file '" + canary_path_ + "' unreadable (failing closed)";
   std::size_t queries = 0, failures = 0;
   std::string first;
@@ -365,7 +324,7 @@ std::optional<std::string> ModelStore::canary_check_locked(
   }
   if (queries == 0)
     return "canary file '" + canary_path_ + "' has no queries (failing closed)";
-  if (failures > canary_max_failures_)
+  if (failures > 0)
     return "canary rejected: " + std::to_string(failures) + "/" + std::to_string(queries) +
            " queries diverged (first: " + first + ")";
   return std::nullopt;
@@ -379,60 +338,27 @@ std::optional<std::string> ModelStore::rollback(std::uint64_t gen,
   const auto t0 = std::chrono::steady_clock::now();
   // Probe both archive extensions; the bytes themselves (not the name)
   // pick the loader, so a mislabeled archive still restores correctly.
-  std::string source = gen_file(gen, core::ModelFormat::kText);
-  std::string bytes;
-  if (!read_file(source, &bytes)) {
-    source = gen_file(gen, core::ModelFormat::kNcb);
-    if (!read_file(source, &bytes))
-      return "generation " + std::to_string(gen) + " is not in the archive";
-  }
-  std::shared_ptr<ModelSnapshot> snap;
-  if (core::detect_model_format(bytes) == core::ModelFormat::kNcb) {
-    // Archive restore is the opt-in-to-full-verification path: from_bytes
-    // checks the payload hash, catching archives that rotted on disk.
-    std::string error;
-    auto model = core::NcbModel::from_bytes(bytes, &error);
-    if (model == nullptr)
-      return "archived generation " + std::to_string(gen) + ": " + error;
-    snap = build_snapshot_ncb(dict_, std::move(model), source, fuse_ctx_);
-  } else {
-    std::string error;
-    std::vector<std::string> warnings;
-    std::istringstream in(bytes);
-    auto loaded = core::load_conventions(in, dict_, &error, &warnings);
-    if (!loaded) return "archived generation " + std::to_string(gen) + ": " + error;
-    snap = build_snapshot(dict_, std::move(*loaded), source, std::move(warnings), fuse_ctx_);
-  }
-  PublishOptions opts;
-  opts.bypass_canary = true;  // explicit operator action
-  opts.archive_bytes = bytes;
-  std::uint64_t published = 0;
-  if (const auto err = publish_locked(std::move(snap), opts, &published)) return err;
-  if (metrics_ != nullptr) {
-    metrics_->rollbacks.inc();
-    metrics_->reload_us.observe(static_cast<double>(elapsed_us(t0)));
-  }
-  if (new_generation != nullptr) *new_generation = published;
+  std::string file = gen_file(gen, core::ModelFormat::kText);
+  if (::access(file.c_str(), R_OK) != 0) file = gen_file(gen, core::ModelFormat::kNcb);
+  if (::access(file.c_str(), R_OK) != 0)
+    return "generation " + std::to_string(gen) + " is not in the archive";
+  // Archive restore is the verified heap path: from_bytes checks the
+  // payload hash, catching archives that rotted on disk.
+  Candidate c;
+  if (auto err = load_locked(file, /*map=*/false, "archived generation " + std::to_string(gen),
+                             &c))
+    return err;
+  // An explicit operator action: no canary.
+  publish_locked(c.snap, /*canary=*/false, c.archive_bytes(), new_generation);
+  if (metrics_ != nullptr) metrics_->rollbacks.inc();
+  record_load_locked(t0, *c.snap);
   return std::nullopt;
 }
 
-void ModelStore::install(const std::vector<core::StoredConvention>& conventions,
-                         std::string source) {
+void ModelStore::install(const std::vector<core::StoredConvention>& conventions) {
   std::lock_guard lock(reload_mu_);
-  auto snap = std::make_shared<ModelSnapshot>(dict_);
-  snap->source = std::move(source);
-  snap->fuse = fuse_ctx_;
-  for (const core::StoredConvention& sc : conventions) {
-    if (sc.cls == core::NcClass::kPoor) continue;
-    snap->geolocator.add(sc.nc, sc.cls);
-  }
-  snap->convention_count = snap->geolocator.convention_count();
-  snap->program_count = snap->geolocator.program_count();
-  snap->stored = conventions;
-  core::sort_conventions(snap->stored);
-  PublishOptions opts;
-  opts.bypass_canary = true;  // install() always succeeds
-  publish_locked(std::move(snap), opts, nullptr);
+  // install() always succeeds: no canary, nothing to archive.
+  publish_locked(build_snapshot_locked(conventions, {}), /*canary=*/false, {}, nullptr);
 }
 
 void ModelStore::set_fuse_context(std::shared_ptr<const fuse::FuseContext> ctx) {
@@ -442,45 +368,16 @@ void ModelStore::set_fuse_context(std::shared_ptr<const fuse::FuseContext> ctx) 
   // snapshot (the Geolocator's compiled matchers copy with it — no regex
   // recompilation) and swap the context. Readers that pinned the previous
   // snapshot finish on the old (model, context) pair, consistently.
-  std::shared_ptr<ModelSnapshot> snap;
-  {
-    std::lock_guard slock(snap_mu_);
-    snap = std::make_shared<ModelSnapshot>(*snap_);
-  }
+  auto snap = std::make_shared<ModelSnapshot>(*current());
   snap->fuse = fuse_ctx_;
-  PublishOptions opts;
-  opts.bypass_canary = true;  // the model bytes are unchanged
-  publish_locked(std::move(snap), opts, nullptr);
+  // The model bytes are unchanged: no canary, nothing to archive.
+  publish_locked(std::move(snap), /*canary=*/false, {}, nullptr);
 }
 
 ModelStore::WatchOutcome ModelStore::poll_watch(std::string* error) {
   std::lock_guard lock(reload_mu_);
-  if (path_.empty()) return WatchOutcome::kUnchanged;
-  const FileStamp now = file_stamp(path_);
-  if (!now.exists) {
-    // Mid-rename window of a deploy (or a genuinely deleted model). Keep
-    // serving the loaded snapshot and keep watching; don't count this as a
-    // failed reload.
-    pending_valid_ = false;
-    return WatchOutcome::kMissing;
-  }
-  if (now.same(loaded_stamp_)) {
-    pending_valid_ = false;
-    return WatchOutcome::kUnchanged;
-  }
-  if (!pending_valid_ || !now.same(pending_stamp_)) {
-    // New mtime: wait until it holds still for one full poll interval so we
-    // don't load a file another process is still writing.
-    pending_stamp_ = now;
-    pending_valid_ = true;
-    return WatchOutcome::kDebounced;
-  }
-  pending_valid_ = false;
-  if (const auto err = reload_locked()) {
-    if (error != nullptr) *error = *err;
-    return WatchOutcome::kReloadFailed;
-  }
-  return WatchOutcome::kReloaded;
+  if (const auto idle = model_watch_.step()) return *idle;
+  return acted(reload_locked(), error);
 }
 
 std::optional<std::string> ModelStore::apply_delta(const core::ModelDelta& delta,
@@ -519,7 +416,6 @@ std::optional<std::string> ModelStore::apply_delta_locked(const core::ModelDelta
   // every unchanged suffix's compiled matcher (for an ncb base, views into
   // the mapping the copied snap->ncb handle pins).
   auto snap = std::make_shared<ModelSnapshot>(*base);
-  snap->source = "delta onto gen " + std::to_string(base->generation);
   snap->warnings.clear();
 
   const auto find_stored = [&stored](std::string_view suffix) {
@@ -553,24 +449,14 @@ std::optional<std::string> ModelStore::apply_delta_locked(const core::ModelDelta
   // Archive bytes re-serialized in the base's format, so a delta-built
   // generation is as self-contained a rollback target as a full load.
   std::string bytes;
-  if (keep_generations_ > 0 && !path_.empty()) {
-    if (base->ncb != nullptr) {
-      bytes = core::serialize_conventions_ncb(snap->stored, dict_);
-    } else {
-      std::ostringstream buf;
-      core::save_conventions(buf, snap->stored, dict_);
-      bytes = buf.str();
-      bytes += core::checksum_footer_line(core::fnv1a_hash(bytes));
-      bytes += '\n';
-    }
-  }
+  if (keep_generations_ > 0 && !path_.empty())
+    bytes = base->ncb != nullptr ? core::serialize_conventions_ncb(snap->stored, dict_)
+                                 : core::serialize_conventions(snap->stored, dict_);
   const std::size_t upserts = delta.upserts.size();
   const std::size_t removes = delta.removes.size();
   const std::size_t conventions = snap->convention_count;
-  PublishOptions opts;
-  opts.archive_bytes = bytes;
   std::uint64_t published = 0;
-  if (const auto err = publish_locked(std::move(snap), opts, &published))
+  if (const auto err = publish_locked(std::move(snap), /*canary=*/true, bytes, &published))
     return reject(*err);
   if (metrics_ != nullptr) {
     metrics_->delta_applies.inc();
@@ -590,7 +476,7 @@ std::optional<std::string> ModelStore::apply_delta_file(const std::string& path,
                                                         DeltaApply* out) {
   std::lock_guard lock(reload_mu_);
   std::string bytes;
-  if (!read_file(path, &bytes)) {
+  if (!util::read_file(path, &bytes)) {
     if (metrics_ != nullptr) metrics_->delta_rejected.inc();
     return "cannot open delta file '" + path + "'";
   }
@@ -606,41 +492,17 @@ std::optional<std::string> ModelStore::apply_delta_file(const std::string& path,
 
 void ModelStore::set_delta_watch(std::string path) {
   std::lock_guard lock(reload_mu_);
-  delta_path_ = std::move(path);
-  delta_stamp_ = FileStamp{};
-  delta_pending_valid_ = false;
+  delta_watch_ = FileWatch{std::move(path)};
 }
 
 ModelStore::WatchOutcome ModelStore::poll_delta_watch(std::string* error) {
-  std::unique_lock lock(reload_mu_);
-  if (delta_path_.empty()) return WatchOutcome::kUnchanged;
-  const FileStamp now = file_stamp(delta_path_);
-  if (!now.exists) {
-    delta_pending_valid_ = false;
-    return WatchOutcome::kMissing;
+  std::string path;
+  {
+    std::lock_guard lock(reload_mu_);
+    if (const auto idle = delta_watch_.step()) return *idle;
+    path = delta_watch_.path;
   }
-  if (now.same(delta_stamp_)) {
-    delta_pending_valid_ = false;
-    return WatchOutcome::kUnchanged;
-  }
-  if (!delta_pending_valid_ || !now.same(delta_pending_stamp_)) {
-    // Same debounce as the model watch: a delta is dropped in by rename,
-    // but a new mtime must hold still for one poll before we read it.
-    delta_pending_stamp_ = now;
-    delta_pending_valid_ = true;
-    return WatchOutcome::kDebounced;
-  }
-  delta_pending_valid_ = false;
-  // Record before applying: a failed or stale delta is reported once per
-  // file change, not once per poll (same contract as poll_watch).
-  delta_stamp_ = now;
-  const std::string path = delta_path_;
-  lock.unlock();
-  if (const auto err = apply_delta_file(path)) {
-    if (error != nullptr) *error = *err;
-    return WatchOutcome::kReloadFailed;
-  }
-  return WatchOutcome::kReloaded;
+  return acted(apply_delta_file(path), error);
 }
 
 }  // namespace hoiho::serve

@@ -1,12 +1,12 @@
 // Hot-reloadable model storage for the serving subsystem.
 //
-// A ModelStore turns a saved convention file (core/nc_io format) into an
-// immutable ModelSnapshot — a fully-built Geolocator plus provenance —
-// published behind a mutex-guarded shared_ptr (one uncontended lock per
-// current() call; the server takes one snapshot per request batch, so the
-// lock is off the per-lookup path). Readers grab the current snapshot and
-// keep lookups on it even while a reload swaps in a successor, so a reload
-// never drops or torn-reads a request:
+// A ModelStore turns a saved model file (core/nc_io text or core/ncb
+// binary) into an immutable ModelSnapshot — a fully-built Geolocator plus
+// provenance — published behind a mutex-guarded shared_ptr (one
+// uncontended lock per current() call; the server takes one snapshot per
+// request batch, so the lock is off the per-lookup path). Readers grab the
+// current snapshot and keep lookups on it even while a reload swaps in a
+// successor, so a reload never drops or torn-reads a request:
 //
 //   reader:  auto snap = store.current();   // refcount pins the model
 //            snap->geolocator.locate(...)   // const, thread-safe
@@ -15,24 +15,29 @@
 // Failed reloads (missing file, malformed model) keep the previous snapshot
 // serving and report the error; there is no window with no model installed.
 //
-// Since the incremental-relearning redesign (DESIGN.md §16) the store's
-// public surface is generation-addressed rather than file-addressed: every
-// way a model can change — reload(), install(), rollback(), apply_delta()
-// — routes through one publish(snapshot, options) pipeline that numbers,
-// canary-gates, swaps, and archives the generation. apply_delta() takes a
-// core::ModelDelta (the learner's run_delta output, or a delta file) and
-// builds the successor snapshot by structural sharing: unchanged suffixes
-// keep the base generation's compiled matchers (for an mmap'd ncb base,
-// views into the base mapping, which the new snapshot pins), so the apply
-// cost scales with the delta, not the model.
+// The public surface is generation-addressed (DESIGN.md §16). Every way a
+// model can change — reload(), install(), rollback(), apply_delta(),
+// set_fuse_context() — goes live through one private publish step that
+// numbers, canary-gates, swaps and archives the generation. reload() and
+// rollback() read files through one loader that sniffs the format: the
+// live model file's ncb image is mmapped, an archived generation's is read
+// onto the heap with its payload hash verified, and text goes through
+// core::load_conventions. apply_delta() takes a core::ModelDelta (the
+// learner's run_delta output, or a delta file) and builds the successor
+// snapshot by structural sharing: unchanged suffixes keep the base
+// generation's compiled matchers (for an mmap'd ncb base, views into the
+// base mapping, which the new snapshot pins), so the apply cost scales
+// with the delta, not the model.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <ctime>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/delta.h"
@@ -51,7 +56,6 @@ struct ModelSnapshot {
   std::uint64_t generation = 0;      // monotonically increasing per install
   std::size_t convention_count = 0;  // usable conventions actually added
   std::size_t program_count = 0;     // compiled regex programs prebuilt in add()
-  std::string source;                // file path or "<memory>"
   std::string format = "text";       // "text" | "ncb" | "ncb_mmap"
   std::vector<std::string> warnings; // loader notes (dropped hints, dupes)
 
@@ -99,8 +103,7 @@ class ModelStore {
 
   // Installs an in-memory model (conventions classified kPoor are skipped,
   // matching the daemon's file path). Always succeeds.
-  void install(const std::vector<core::StoredConvention>& conventions,
-               std::string source = "<memory>");
+  void install(const std::vector<core::StoredConvention>& conventions);
 
   // Attaches (or replaces, or clears with null) the fusion context every
   // snapshot carries. The current snapshot is republished with the new
@@ -123,25 +126,6 @@ class ModelStore {
   WatchOutcome poll_watch(std::string* error = nullptr);
 
   // --- Generation-addressed publishing (DESIGN.md §16) ---
-
-  // Knobs for one publish. Defaults match reload(): canary-gated, archived
-  // when archive_bytes is non-empty.
-  struct PublishOptions {
-    bool bypass_canary = false;        // install()/rollback(): operator actions
-    std::string_view archive_bytes{};  // serialized model for the lineage archive
-  };
-
-  // The single pipeline every model change goes through: canary-gate the
-  // candidate (unless bypassed), assign the next generation number, swap it
-  // in for readers, archive the bytes, and update model lifecycle metrics.
-  // On rejection the serving snapshot is untouched and the error names the
-  // divergence. *new_generation (if non-null) receives the published number.
-  std::optional<std::string> publish(std::shared_ptr<ModelSnapshot> snap,
-                                     const PublishOptions& opts,
-                                     std::uint64_t* new_generation = nullptr);
-  std::optional<std::string> publish(std::shared_ptr<ModelSnapshot> snap) {
-    return publish(std::move(snap), PublishOptions{}, nullptr);
-  }
 
   // What one apply_delta() did, for admin responses and benches.
   struct DeltaApply {
@@ -186,38 +170,36 @@ class ModelStore {
   // install's number.
   void set_keep_generations(std::size_t n);
 
-  // Canary gate: before a reload() (or watch-triggered reload) publishes,
-  // replay the queries in `path` against the candidate snapshot. Each line
-  // is `<hostname>` (must not answer MISS) or `<hostname>,<expected>` where
-  // <expected> is the exact wire response ("MISS" or "lat,lon,code,method");
-  // '#' lines are comments. More than `max_failures` divergences reject the
-  // reload: the serving snapshot is untouched, the error names the first
-  // divergence, and serve_reload_rejected is bumped. An unreadable canary
-  // file also rejects (fail closed — a gate that silently vanishes is worse
-  // than a loud one). Empty `path` disables the gate. install() and
-  // rollback() bypass it (explicit operator actions).
-  void set_canary(std::string path, std::size_t max_failures = 0);
+  // Canary gate: before a reload() (or watch-triggered reload) or a delta
+  // publishes, replay the queries in `path` against the candidate snapshot.
+  // Each line is `<hostname>` (must not answer MISS) or
+  // `<hostname>,<expected>` where <expected> is the exact wire response
+  // ("MISS" or "lat,lon,code,method"); '#' lines are comments. Any
+  // divergence rejects the candidate: the serving snapshot is untouched,
+  // the error names the first divergence, and serve_reload_rejected is
+  // bumped. An unreadable canary file also rejects (fail closed — a gate
+  // that silently vanishes is worse than a loud one). Empty `path` disables
+  // the gate. install() and rollback() bypass it (explicit operator
+  // actions).
+  void set_canary(std::string path);
 
   // Counters for rejected reloads / rollbacks (serve_reload_rejected,
-  // serve_rollbacks) and the model load-path metrics; null = uncounted.
-  // Must outlive the store. A load that happened before metrics were
-  // attached (the daemon's boot load precedes the server's registry) is
-  // replayed here so the load-path counters are truthful for a process
-  // that never hot-swaps.
+  // serve_rollbacks) and the model load-path metrics (serve_reload_us and
+  // model_load_* for every reload and rollback); null = uncounted. Must
+  // outlive the store. A load that happened before metrics were attached
+  // (the daemon's boot load precedes the server's registry) is replayed
+  // here so the load-path counters are truthful for a process that never
+  // hot-swaps.
   void set_metrics(Metrics* metrics);
-
-  // Binary models are mmap'ed by default (reload cost O(pages touched)).
-  // false loads them into an owned buffer instead — with full payload
-  // verification — for callers that must not hold a file mapping (tests,
-  // benches comparing load strategies).
-  void set_map_binary(bool on);
 
   // Archived generation numbers, ascending. Empty when archiving is off.
   std::vector<std::uint64_t> list_generations();
 
   // Republishes archived generation `gen` under a fresh generation number
   // (lineage is append-only: a rollback is a new generation whose bytes are
-  // an old one's, so GENS shows the full history). Bypasses the canary.
+  // an old one's, so GENS shows the full history). Bypasses the canary. An
+  // ncb archive is read onto the heap and its payload hash verified, so an
+  // archive that rotted on disk is refused rather than served.
   // The rolled-back model is re-archived, and the mtime watcher will not
   // re-load the bad on-disk file afterwards (its stamp was recorded at the
   // failed/rolled-back load). Returns the error message on failure;
@@ -226,8 +208,6 @@ class ModelStore {
                                       std::uint64_t* new_generation = nullptr);
 
   std::uint64_t generation() const { return current()->generation; }
-  const std::string& path() const { return path_; }
-  const geo::GeoDictionary& dictionary() const { return dict_; }
 
  private:
   // Nanosecond-resolution mtime plus existence, so two rewrites within one
@@ -236,21 +216,51 @@ class ModelStore {
     bool exists = false;
     std::time_t sec = 0;
     long nsec = 0;
+    static FileStamp of(const std::string& path);
     bool same(const FileStamp& o) const {
       return exists == o.exists && sec == o.sec && nsec == o.nsec;
     }
   };
 
-  static FileStamp file_stamp(const std::string& path);
-  // The swap itself (numbers the snapshot, flips snap_); publish() adds the
-  // gate/archive/metrics around it. Requires reload_mu_.
-  void swap_in_locked(std::shared_ptr<ModelSnapshot> snap);
-  std::optional<std::string> publish_locked(std::shared_ptr<ModelSnapshot> snap,
-                                            const PublishOptions& opts,
+  // The debounce behind poll_watch and poll_delta_watch: a new stamp must
+  // hold still for one poll before the file is acted on, and each stamp is
+  // acted on once, so a failure is reported once per file change.
+  struct FileWatch {
+    explicit FileWatch(std::string p = {}) : path(std::move(p)) {}
+    std::string path;   // empty = watch disabled
+    FileStamp seen;     // stamp at the last (attempted) action
+    FileStamp pending;  // new stamp waiting to hold still; !exists = none
+    // The idle outcome (kUnchanged, kMissing, kDebounced), or nullopt when a
+    // new stamp has held still: `seen` is updated and the caller acts.
+    std::optional<WatchOutcome> step();
+  };
+
+  // A model file read by load_locked (defined in model_store.cc).
+  struct Candidate;
+
+  // The one publish step; all of these require reload_mu_. Canary-gates the
+  // candidate when `canary`, numbers it, swaps it in for readers and
+  // archives `archive_bytes` (skipped when empty). On rejection the serving
+  // snapshot is untouched and the error names the divergence.
+  // *new_generation (if non-null) receives the published number.
+  std::optional<std::string> publish_locked(std::shared_ptr<ModelSnapshot> snap, bool canary,
+                                            std::string_view archive_bytes,
                                             std::uint64_t* new_generation);
-  std::optional<std::string> reload_locked();       // requires reload_mu_
-  std::optional<std::string> apply_delta_locked(const core::ModelDelta& delta,
-                                                DeltaApply* out);  // requires reload_mu_
+  // The one snapshot builder. Without `ncb` it compiles `conventions`
+  // (kPoor skipped, as unusable per stage 5) and keeps the full list,
+  // sorted, as snap->stored; with `ncb` the Geolocator is views over the
+  // image (no regex recompilation) and the snapshot pins it.
+  std::shared_ptr<ModelSnapshot> build_snapshot_locked(
+      std::vector<core::StoredConvention> conventions, std::vector<std::string> warnings,
+      std::shared_ptr<const core::NcbModel> ncb = nullptr) const;
+  // The one loader behind reload() and rollback(): sniffs `file`'s format
+  // and builds a candidate. An ncb image is mmapped when `map` (the live
+  // model: O(pages touched)), else read onto the heap with its payload hash
+  // verified (archive restores). Errors name the file as `what`.
+  std::optional<std::string> load_locked(const std::string& file, bool map,
+                                         const std::string& what, Candidate* out) const;
+  std::optional<std::string> reload_locked();
+  std::optional<std::string> apply_delta_locked(const core::ModelDelta& delta, DeltaApply* out);
 
   // Lineage helpers; all require reload_mu_.
   std::string gens_dir() const { return path_ + ".gens"; }
@@ -261,28 +271,29 @@ class ModelStore {
   void scan_archive_locked();  // advances next_generation_ past archived gens
   void archive_locked(std::uint64_t gen, std::string_view bytes);
   std::optional<std::string> canary_check_locked(const ModelSnapshot& candidate) const;
-  void record_pending_load_locked();  // flushes the stashed load into metrics_
+  // Stashes a published load's cost (timed from t0) for the load metrics,
+  // then flushes the stash into metrics_ if attached.
+  void record_load_locked(std::chrono::steady_clock::time_point t0, const ModelSnapshot& snap);
+  void record_pending_load_locked();  // flushes the stash into metrics_
+
+  // One load's cost, stashed until metrics are attached.
+  struct LoadCost {
+    std::uint64_t us = 0;
+    std::string format;
+    std::size_t mapped = 0;
+  };
 
   const geo::GeoDictionary& dict_;
   std::string path_;
   std::shared_ptr<const fuse::FuseContext> fuse_ctx_;  // guarded by reload_mu_
-  std::mutex reload_mu_;       // serializes reload/install; readers never take it
+  std::mutex reload_mu_;       // serializes every publish; readers never take it
   std::uint64_t next_generation_ = 1;  // guarded by reload_mu_
   std::size_t keep_generations_ = 0;   // guarded by reload_mu_
-  bool map_binary_ = true;             // guarded by reload_mu_
   std::string canary_path_;            // guarded by reload_mu_
-  std::size_t canary_max_failures_ = 0;  // guarded by reload_mu_
   Metrics* metrics_ = nullptr;         // set once before serving; not guarded
-  long long pending_load_us_ = -1;     // boot-load cost awaiting metrics; reload_mu_
-  std::string pending_load_format_;    // guarded by reload_mu_
-  std::size_t pending_load_mapped_ = 0;  // guarded by reload_mu_
-  FileStamp loaded_stamp_;             // stamp at last (attempted) load; reload_mu_
-  FileStamp pending_stamp_;            // candidate stamp awaiting debounce; reload_mu_
-  bool pending_valid_ = false;         // guarded by reload_mu_
-  std::string delta_path_;             // delta watch target; reload_mu_
-  FileStamp delta_stamp_;              // stamp at last (attempted) apply; reload_mu_
-  FileStamp delta_pending_stamp_;      // candidate awaiting debounce; reload_mu_
-  bool delta_pending_valid_ = false;   // guarded by reload_mu_
+  std::optional<LoadCost> pending_load_;  // boot-load cost awaiting metrics; reload_mu_
+  FileWatch model_watch_{path_};       // guarded by reload_mu_
+  FileWatch delta_watch_;              // guarded by reload_mu_
   mutable std::mutex snap_mu_;         // guards snap_ swap/copy only
   std::shared_ptr<const ModelSnapshot> snap_;
 };

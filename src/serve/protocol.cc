@@ -45,19 +45,10 @@ std::string_view trim_spaces(std::string_view s) {
   return s;
 }
 
-// Whole-token decimal: no sign, no trailing bytes, and nothing that
-// overflows 64 bits (which would otherwise wrap to a small valid number).
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
 Request parse_rollback_args(std::string_view rest) {
   Request req;
   req.kind = RequestKind::kRollback;
-  const auto gen = parse_u64(trim_spaces(rest));
+  const auto gen = util::parse_u64(trim_spaces(rest));
   if (!gen) {
     req.error = "rollback_usage";
     return req;
@@ -69,7 +60,7 @@ Request parse_rollback_args(std::string_view rest) {
 Request parse_geob_args(std::string_view rest) {
   Request req;
   req.kind = RequestKind::kGeoBatch;
-  const auto count = parse_u64(trim_spaces(rest));
+  const auto count = util::parse_u64(trim_spaces(rest));
   if (!count || *count == 0 || *count > kMaxGeobBatch) {
     req.error = "geob_usage";
     return req;

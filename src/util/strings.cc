@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace hoiho::util {
@@ -69,6 +70,13 @@ std::vector<std::string_view> split_keep_empty(std::string_view s, char delim) {
     }
   }
   return out;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +46,12 @@ std::vector<std::string_view> split(std::string_view s, std::string_view delims)
 // Splits `s` on any occurrence of a character in `delims`, keeping empty
 // fields (needed by CSV-style parsing).
 std::vector<std::string_view> split_keep_empty(std::string_view s, char delim);
+
+// Whole-token unsigned decimal: no sign, no surrounding bytes, and nothing
+// that overflows 64 bits (which would otherwise wrap or clamp to a valid
+// number). nullopt on anything else. Every file and wire format parses its
+// counts, indices and generation numbers through this.
+std::optional<std::uint64_t> parse_u64(std::string_view s);
 
 // Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

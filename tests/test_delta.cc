@@ -306,6 +306,20 @@ TEST(Delta, SerializationRoundTripsAndRejectsCorruption) {
     ASSERT_NE(footer, std::string::npos);
     expect_rejected(bytes.substr(0, footer), "missing footer");
   }
+  // A correctly checksummed header whose base generation is past 2^64-1 is
+  // rejected rather than wrapped into some other generation; 2^64-1 loads.
+  {
+    const auto header_only = [](std::string_view gen) {
+      std::string body = std::string(kModelDeltaMagic) + "\nD," + std::string(gen) + ",0,0\n";
+      return body + checksum_footer_line(fnv1a_hash(body)) + "\n";
+    };
+    std::istringstream in(header_only("18446744073709551615"));
+    std::string error;
+    const auto max = load_model_delta(in, dict, &error);
+    ASSERT_TRUE(max.has_value()) << error;
+    EXPECT_EQ(max->base_generation, 18446744073709551615u);
+    expect_rejected(header_only("99999999999999999999"), "overflowing base generation");
+  }
 }
 
 TEST(Delta, ApplyUnderConcurrentReaders) {

@@ -388,7 +388,8 @@ TEST(Loaders, PopulationPriorResolvesByCityAndCountry) {
   std::istringstream in(
       "Melbourne,fl,us,123456\n"
       "Melbourne,au,77777\n"
-      "Nowhereville,zz,1\n");
+      "Nowhereville,zz,1\n"
+      "Melbourne,au,99999999999999999999\n");  // past 2^64-1: not a number
   io::LoadOptions opt;
   opt.lenient = true;
   io::LoadReport rep;
@@ -397,6 +398,7 @@ TEST(Loaders, PopulationPriorResolvesByCityAndCountry) {
   EXPECT_EQ(prior->population(dict, fl), 123456u);
   EXPECT_EQ(prior->population(dict, au), 77777u);
   EXPECT_GE(rep.skipped_count("unknown_place"), 1u);
+  EXPECT_EQ(rep.skipped_count("bad_number"), 1u);
 }
 
 // --- audit -------------------------------------------------------------------

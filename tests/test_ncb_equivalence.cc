@@ -191,7 +191,8 @@ class NcbEquivalence : public ::testing::Test {
     return p;
   }
   void TearDown() override {
-    for (const std::string& p : cleanup_) ::unlink(p.c_str());
+    for (const std::string& p : cleanup_)
+      if (::unlink(p.c_str()) != 0) ::rmdir(p.c_str());
   }
   std::vector<std::string> cleanup_;
 };
@@ -273,13 +274,23 @@ TEST_F(NcbEquivalence, ModelStorePathsAnswerIdentically) {
   EXPECT_TRUE(mmap_snap->ncb->mapped());
   EXPECT_GT(mmap_snap->ncb->bytes_mapped(), 0u);
 
+  // The heap path is the archive restore: rolling back to an archived .ncb
+  // generation reads it onto the heap with its payload hash verified.
+  serve::Metrics metrics;
   serve::ModelStore heap_store(dict, bin_path);
-  heap_store.set_map_binary(false);
-  ASSERT_FALSE(heap_store.reload().has_value());
+  heap_store.set_metrics(&metrics);
+  heap_store.set_keep_generations(2);
+  ASSERT_FALSE(heap_store.reload().has_value());  // gen 1, archived as gen-1.ncb
+  for (const char* archived : {"/gen-1.ncb", "/gen-2.ncb", ""})
+    cleanup_.push_back(bin_path + ".gens" + archived);
+  const std::uint64_t ncb_build_us = metrics.load_build_us_ncb.load();
+  ASSERT_FALSE(heap_store.rollback(1).has_value());
   const auto heap_snap = heap_store.current();
+  EXPECT_EQ(heap_snap->generation, 2u);
   EXPECT_EQ(heap_snap->format, "ncb");
   ASSERT_NE(heap_snap->ncb, nullptr);
   EXPECT_FALSE(heap_snap->ncb->mapped());
+  EXPECT_GT(metrics.load_build_us_ncb.load(), ncb_build_us);
 
   EXPECT_EQ(mmap_snap->convention_count, text_snap->convention_count);
   EXPECT_EQ(heap_snap->convention_count, text_snap->convention_count);

@@ -3,6 +3,8 @@
 // blocking Client over loopback.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -265,8 +267,10 @@ TEST(ModelStore, SnapshotOutlivesSwap) {
 // Removes a model path's generation archive so reruns start clean.
 void wipe_gens(const std::string& model_path) {
   const std::string dir = model_path + ".gens";
-  for (std::uint64_t g = 0; g < 64; ++g)
-    std::remove((dir + "/gen-" + std::to_string(g) + ".nc").c_str());
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) ::unlink((dir + "/" + e->d_name).c_str());
+    ::closedir(d);
+  }
   ::rmdir(dir.c_str());
 }
 
@@ -274,6 +278,11 @@ TEST(ModelStore, ArchivesGenerationsAndPrunesPastKeep) {
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
   const std::string path = temp_path("lineage_model.txt");
   wipe_gens(path);
+  // A generation number past 2^64-1 is not an archive entry: it must not
+  // wrap into a listed generation or push the next publish past it.
+  const std::string overflow = path + ".gens/gen-99999999999999999999.nc";
+  ::mkdir((path + ".gens").c_str(), 0755);
+  write_model(overflow, he_net_model(dict), dict);
   write_model(path, he_net_model(dict), dict);
   ModelStore store(dict, path);
   store.set_keep_generations(2);
@@ -285,6 +294,7 @@ TEST(ModelStore, ArchivesGenerationsAndPrunesPastKeep) {
   ASSERT_FALSE(store.reload().has_value());  // gen 3; gen 1 pruned
   EXPECT_EQ(store.generation(), 3u);
   EXPECT_EQ(store.list_generations(), (std::vector<std::uint64_t>{2, 3}));
+  std::remove(overflow.c_str());
 }
 
 TEST(ModelStore, GenerationNumbersSurviveRestart) {
@@ -848,6 +858,62 @@ TEST(ModelStore, PollWatchReportsCorruptModelOncePerChange) {
   EXPECT_TRUE(store.current()->geolocator.locate("e0.cr1.ash1.he.net").has_value());
 }
 
+TEST(ModelStore, PollDeltaWatchDebouncesAppliesAndReportsOncePerChange) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  const std::string delta_path = temp_path("watch_delta.txt");
+  std::remove(delta_path.c_str());
+  ModelStore store(dict);
+  store.install(he_net_model(dict));  // gen 1
+  store.set_delta_watch(delta_path);
+  using WO = ModelStore::WatchOutcome;
+
+  // Nothing dropped in yet: idle, not a failure.
+  EXPECT_EQ(store.poll_delta_watch(), WO::kMissing);
+
+  // A delta onto the serving generation holds still for one poll, then
+  // publishes the successor.
+  core::ModelDelta delta;
+  delta.base_generation = store.generation();
+  delta.upserts = zayo_model(dict);
+  std::string error;
+  ASSERT_TRUE(core::save_model_delta_to_file(delta_path, delta, dict, &error)) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kDebounced);
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kReloaded) << error;
+  EXPECT_EQ(store.generation(), 2u);
+  EXPECT_TRUE(store.current()->geolocator.locate("lhr1.zayo.com").has_value());
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);
+
+  // The same delta dropped in again is stale (its base is generation 1): it
+  // fails once per file change, then the watch is idle.
+  let_mtime_tick();
+  ASSERT_TRUE(core::save_model_delta_to_file(delta_path, delta, dict, &error)) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kDebounced);
+  error.clear();
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kReloadFailed);
+  EXPECT_NE(error.find("generation"), std::string::npos) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);
+  EXPECT_EQ(store.generation(), 2u);
+
+  // A torn delta (checksum footer cut off) never publishes either.
+  let_mtime_tick();
+  delta.base_generation = store.generation();
+  const std::string bytes = core::serialize_model_delta(delta, dict);
+  {
+    std::ofstream out(delta_path, std::ios::binary | std::ios::trunc);
+    out << bytes.substr(0, bytes.rfind("# checksum"));
+  }
+  EXPECT_EQ(store.poll_delta_watch(), WO::kDebounced);
+  error.clear();
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kReloadFailed);
+  EXPECT_NE(error.find("delta file"), std::string::npos) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);
+
+  // Neither failure disturbed the serving generation.
+  EXPECT_EQ(store.generation(), 2u);
+  EXPECT_TRUE(store.current()->geolocator.locate("lhr1.zayo.com").has_value());
+  std::remove(delta_path.c_str());
+}
+
 TEST(ModelStore, ReloadFailpointInjectsFailure) {
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
   const std::string path = temp_path("fp_model.txt");
@@ -859,6 +925,24 @@ TEST(ModelStore, ReloadFailpointInjectsFailure) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("injected"), std::string::npos) << *err;
   EXPECT_FALSE(store.reload().has_value());  // disarmed: loads fine
+}
+
+TEST(ModelStore, ArchiveWriteFailureDoesNotBlockPublish) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  const std::string path = temp_path("archive_fail_model.txt");
+  wipe_gens(path);
+  write_model(path, he_net_model(dict), dict);
+  ModelStore store(dict, path);
+  store.set_keep_generations(2);
+  // The archive write goes through the model-publish failpoint. It is best
+  // effort: a failed write must not turn a healthy reload into a failure.
+  ASSERT_TRUE(util::failpoint::configure("nc.save", "error"));
+  const auto err = store.reload();
+  util::failpoint::reset();
+  EXPECT_FALSE(err.has_value()) << err.value_or("");
+  EXPECT_EQ(store.generation(), 1u);
+  EXPECT_TRUE(store.current()->geolocator.locate("e0.cr1.ash1.he.net").has_value());
+  EXPECT_TRUE(store.list_generations().empty());
 }
 
 TEST(Server, DeadlineExpiredBatchesAnswerErrDeadline) {
