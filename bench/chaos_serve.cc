@@ -607,6 +607,11 @@ bool torn_delta_drill(const std::string& binary, const std::string& model_path,
   return ok;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: chaos_serve [--quick] [--hoihod PATH] [--operators N]\n");
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -620,10 +625,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--hoihod" && i + 1 < argc) {
       binary = argv[++i];
     } else if (arg == "--operators" && i + 1 < argc) {
-      operators = static_cast<std::size_t>(std::atoi(argv[++i]));
+      // A whole token: "7x" or "abc" is refused, never read as 7 or 0.
+      const auto n = util::parse_u64(argv[++i]);
+      if (!n) {
+        std::fprintf(stderr, "chaos: --operators: '%s' is not a number\n", argv[i]);
+        return usage();
+      }
+      operators = static_cast<std::size_t>(*n);
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--hoihod PATH] [--operators N]\n", argv[0]);
-      return 1;
+      return usage();
     }
   }
   if (::access(binary.c_str(), X_OK) != 0) {

@@ -26,7 +26,6 @@
 //      [--ambiguous-rate X] [--anycast-rate X] [--feed-rows N]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -67,6 +66,12 @@ std::string tally_json(const Tally& t, std::size_t denom) {
          ", \"accuracy\": " + util::fmt_double(t.accuracy(denom), 4) + "}";
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: fusion_eval [--json PATH] [--operators N] [--ambiguous-rate X] "
+                       "[--anycast-rate X] [--feed-rows N]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,32 +82,40 @@ int main(int argc, char** argv) {
   std::size_t feed_rows = 2000;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "fusion_eval: %s needs a value\n", argv[i]);
+      return usage();
+    }
+    const std::string v = argv[++i];
+    // Numbers are whole tokens: "7x" or "abc" is refused, never read as 7 or 0.
+    const auto count = [&](std::size_t& out) {
+      const auto n = util::parse_u64(v);
+      if (n) out = static_cast<std::size_t>(*n);
+      return n.has_value();
     };
+    const auto real = [&](double& out) {
+      const auto x = util::parse_double(v);
+      if (x) out = *x;
+      return x.has_value();
+    };
+    bool number = true;
     if (arg == "--json") {
-      const char* v = value();
-      if (v == nullptr) return 1;
       json_path = v;
     } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      operators = static_cast<std::size_t>(std::atoi(v));
+      number = count(operators);
     } else if (arg == "--ambiguous-rate") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      ambiguous_rate = std::atof(v);
+      number = real(ambiguous_rate);
     } else if (arg == "--anycast-rate") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      anycast_rate = std::atof(v);
+      number = real(anycast_rate);
     } else if (arg == "--feed-rows") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      feed_rows = static_cast<std::size_t>(std::atoi(v));
+      number = count(feed_rows);
     } else {
-      std::fprintf(stderr, "fusion_eval: unknown flag '%s'\n", std::string(arg).c_str());
-      return 1;
+      std::fprintf(stderr, "fusion_eval: unknown flag '%s'\n", argv[i - 1]);
+      return usage();
+    }
+    if (!number) {
+      std::fprintf(stderr, "fusion_eval: %s: '%s' is not a number\n", argv[i - 1], v.c_str());
+      return usage();
     }
   }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "serve/protocol.h"
 #include "util/file.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 using namespace hoiho;
 
@@ -243,7 +245,15 @@ ScaleResult run_scale(const std::string& scale, std::size_t suffixes, int reps) 
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_MODEL.json";
-  const int reps = argc > 2 ? std::max(1, std::atoi(argv[2])) : 5;
+  // A whole positive token: "7x" or "abc" is refused, never read as 7 or 1.
+  const std::optional<std::uint64_t> reps_arg =
+      argc > 2 ? util::parse_u64(argv[2]) : std::optional<std::uint64_t>(5);
+  if (!reps_arg || *reps_arg < 1 || *reps_arg > 1000000) {
+    std::fprintf(stderr, "model_bench: reps: '%s' is not a positive integer\n"
+                         "usage: model_bench [out.json] [reps]\n", argv[2]);
+    return 2;
+  }
+  const int reps = static_cast<int>(*reps_arg);
 
   std::vector<ScaleResult> scales;
   scales.push_back(run_scale("S", 50, reps));

@@ -31,11 +31,10 @@
 // from the machine that produced this revision.
 #include <sys/stat.h>
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +48,7 @@
 #include "obs/metrics.h"
 #include "serve/model_store.h"
 #include "sim/streaming.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 using namespace hoiho;
@@ -465,12 +465,13 @@ int main(int argc, char** argv) {
       checkpoint_dir = arg.substr(17);
     } else if (arg.starts_with("--delta-frac=")) {
       const std::string_view v = arg.substr(13);
-      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), delta_frac);
-      if (ec != std::errc() || end != v.data() + v.size() || !std::isfinite(delta_frac)) {
+      const std::optional<double> frac = util::parse_double(v);
+      if (!frac) {
         std::fprintf(stderr, "pipeline_e2e: --delta-frac: '%.*s' is not a number\n",
                      static_cast<int>(v.size()), v.data());
         return usage();
       }
+      delta_frac = *frac;
     } else if (arg.starts_with("-")) {
       std::fprintf(stderr, "pipeline_e2e: unknown flag '%s'\n", argv[i]);
       return usage();
@@ -485,12 +486,13 @@ int main(int argc, char** argv) {
   }
   int reps = scale == "S" ? 3 : scale == "M" ? 2 : 1;
   if (positional.size() > 1) {
-    const std::string& v = positional[1];
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), reps);
-    if (ec != std::errc() || end != v.data() + v.size() || reps < 1) {
-      std::fprintf(stderr, "pipeline_e2e: reps: '%s' is not a positive integer\n", v.c_str());
+    const std::optional<std::uint64_t> n = util::parse_u64(positional[1]);
+    if (!n || *n < 1 || *n > 1000000) {
+      std::fprintf(stderr, "pipeline_e2e: reps: '%s' is not a positive integer\n",
+                   positional[1].c_str());
       return usage();
     }
+    reps = static_cast<int>(*n);
   }
   if (!checkpoint_dir.empty() && scale == "S") {
     std::fprintf(stderr, "pipeline_e2e: --checkpoint-dir applies to the streaming "

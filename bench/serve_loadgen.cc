@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -232,67 +231,83 @@ std::vector<std::string> read_hosts(const std::string& path) {
   return out;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: serve_loadgen [--spawn | --port P [--host H] --hosts FILE] "
+               "[--connections N] [--pipeline W] [--duration-s S] [--operators N] "
+               "[--geo-frac F] [--batch-size N] [--no-reload] [--json PATH]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    if (arg == "--spawn") {
+      opt.spawn = true;
+      continue;
+    }
+    if (arg == "--no-reload") {
+      opt.reload_mid_run = false;
+      continue;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "loadgen: %s needs a value\n", argv[i]);
+      return usage();
+    }
+    const std::string v = argv[++i];
+    // Numbers are whole tokens: "7x" or "abc" is refused, never read as 7 or 0.
+    const auto count = [&](std::size_t& out) {
+      const auto n = util::parse_u64(v);
+      if (n) out = static_cast<std::size_t>(*n);
+      return n.has_value();
     };
+    const auto real = [&](double& out) {
+      const auto x = util::parse_double(v);
+      if (x) out = *x;
+      return x.has_value();
+    };
+    bool number = true;
     if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.port = static_cast<std::uint16_t>(std::atoi(v));
+      std::size_t port = 0;
+      number = count(port);
+      if (number && port > 65535) {
+        std::fprintf(stderr, "loadgen: --port takes 0..65535\n");
+        return usage();
+      }
+      opt.port = static_cast<std::uint16_t>(port);
       opt.spawn = false;
     } else if (arg == "--host") {
-      const char* v = value();
-      if (v == nullptr) return 1;
       opt.host = v;
     } else if (arg == "--hosts") {
-      const char* v = value();
-      if (v == nullptr) return 1;
       opt.hosts_file = v;
     } else if (arg == "--json") {
-      const char* v = value();
-      if (v == nullptr) return 1;
       opt.json_path = v;
     } else if (arg == "--connections") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.connections = static_cast<std::size_t>(std::atoi(v));
+      number = count(opt.connections);
     } else if (arg == "--pipeline") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.pipeline = static_cast<std::size_t>(std::atoi(v));
+      number = count(opt.pipeline);
     } else if (arg == "--duration-s") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.duration_s = std::atof(v);
+      number = real(opt.duration_s);
     } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.operators = static_cast<std::size_t>(std::atoi(v));
+      number = count(opt.operators);
     } else if (arg == "--geo-frac") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.geo_frac = std::atof(v);
+      number = real(opt.geo_frac);
     } else if (arg == "--batch-size") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.batch_size = static_cast<std::size_t>(std::atoi(v));
-      if (opt.batch_size == 0 || opt.batch_size > serve::kMaxGeobBatch) {
+      number = count(opt.batch_size);
+      if (number && (opt.batch_size == 0 || opt.batch_size > serve::kMaxGeobBatch)) {
         std::fprintf(stderr, "loadgen: --batch-size takes 1..%zu\n", serve::kMaxGeobBatch);
-        return 1;
+        return usage();
       }
-    } else if (arg == "--spawn") {
-      opt.spawn = true;
-    } else if (arg == "--no-reload") {
-      opt.reload_mid_run = false;
     } else {
-      std::fprintf(stderr, "loadgen: unknown flag '%s'\n", std::string(arg).c_str());
-      return 1;
+      std::fprintf(stderr, "loadgen: unknown flag '%s'\n", argv[i - 1]);
+      return usage();
+    }
+    if (!number) {
+      std::fprintf(stderr, "loadgen: %s: '%s' is not a number\n", argv[i - 1], v.c_str());
+      return usage();
     }
   }
 

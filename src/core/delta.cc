@@ -1,34 +1,18 @@
 #include "core/delta.h"
 
 #include <algorithm>
-#include <cstring>
 #include <istream>
 #include <sstream>
+#include <unordered_map>
 
 #include "io/load_report.h"
 #include "util/csv.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace hoiho::core {
 
 namespace {
-
-// Order-dependent FNV-1a over the 8 bytes of v — the same byte-wise mixing
-// StreamSignature uses, so every fingerprint in the system shares one
-// construction.
-std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ULL;  // FNV-1a 64 prime
-  }
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return mix_u64(h, bits);
-}
 
 std::uint64_t never_zero(std::uint64_t h) { return h == 0 ? 1 : h; }
 
@@ -36,60 +20,56 @@ std::uint64_t never_zero(std::uint64_t h) { return h == 0 ? 1 : h; }
 
 std::uint64_t suffix_fingerprint(const topo::SuffixGroup& group,
                                  const measure::Measurements& meas) {
-  std::uint64_t h = fnv1a_hash(group.suffix);
-  h = fnv1a_hash("\n", h);
+  util::Fnv1a h;
+  h.mix(group.suffix).mix("\n");
 
-  // Hostnames in group order, and the suffix's routers in first-appearance
-  // order. Router ids are deliberately NOT mixed: they are local to the
-  // owning batch/topology, so the same suffix rendered standalone (a
-  // WorldDelta) must fingerprint equal to the same suffix rendered inside a
-  // full-world batch. Only content — names and RTT rows — participates.
-  std::vector<topo::RouterId> routers;
+  // Hostnames in group order, each bound to its router's ordinal: the
+  // router's first-appearance position in the group. Router ids are
+  // deliberately NOT mixed: they are local to the owning batch/topology, so
+  // the same suffix rendered standalone (a WorldDelta) must fingerprint
+  // equal to the same suffix rendered inside a full-world batch. Only
+  // content — names, which name sits on which router, and RTT rows —
+  // participates.
+  std::vector<topo::RouterId> routers;  // first-appearance order
+  std::unordered_map<topo::RouterId, std::uint64_t> ordinal;
   routers.reserve(group.hostnames.size());
+  ordinal.reserve(group.hostnames.size());
   for (const topo::HostnameRef& ref : group.hostnames) {
-    if (ref.hostname != nullptr) {
-      h = fnv1a_hash(ref.hostname->full, h);
-      h = fnv1a_hash("\n", h);
-    }
-    if (std::find(routers.begin(), routers.end(), ref.router) == routers.end())
-      routers.push_back(ref.router);
+    const auto [it, first] = ordinal.try_emplace(ref.router, routers.size());
+    if (first) routers.push_back(ref.router);
+    if (ref.hostname != nullptr) h.mix(ref.hostname->full).mix("\n");
+    h.mix(it->second);
   }
 
   const std::size_t vps = meas.pings.vp_count();
-  h = mix_u64(h, vps);
+  h.mix(std::uint64_t{vps});
   for (const topo::RouterId r : routers) {
     if (r >= meas.pings.router_count()) {
-      h = mix_u64(h, 0xdeadULL);  // unmeasured router: distinct from all-miss rows
+      h.mix(std::uint64_t{0xdead});  // unmeasured router: distinct from all-miss rows
       continue;
     }
     for (measure::VpId v = 0; v < vps; ++v) {
-      if (const auto rtt = meas.pings.rtt(r, v)) {
-        h = mix_u64(h, 1);
-        h = mix_double(h, *rtt);
-      } else {
-        h = mix_u64(h, 0);
-      }
+      if (const auto rtt = meas.pings.rtt(r, v))
+        h.mix(std::uint64_t{1}).mix(*rtt);
+      else
+        h.mix(std::uint64_t{0});
     }
   }
-  return never_zero(h);
+  return never_zero(h.value());
 }
 
 std::uint64_t vp_set_hash(const std::vector<measure::VantagePoint>& vps) {
-  std::uint64_t h = kFnvSeed;
-  for (const measure::VantagePoint& vp : vps) {
-    h = fnv1a_hash(vp.name, h);
-    h = fnv1a_hash("\n", h);
-    h = fnv1a_hash(vp.country, h);
-    h = fnv1a_hash("\n", h);
-    h = mix_double(h, vp.coord.lat);
-    h = mix_double(h, vp.coord.lon);
-  }
-  return never_zero(h);
+  util::Fnv1a h;
+  for (const measure::VantagePoint& vp : vps)
+    h.mix(vp.name).mix("\n").mix(vp.country).mix("\n").mix(vp.coord.lat).mix(vp.coord.lon);
+  return never_zero(h.value());
 }
 
 std::uint64_t learn_signature(const HoihoConfig& c, std::size_t dict_size) {
-  io::StreamSignature sig;
-  sig.mix(std::uint64_t{2})  // signature format version
+  util::Fnv1a sig;
+  // Format version: 3 binds hostnames to routers in suffix_fingerprint, so
+  // stores and priors keyed by older fingerprints never match.
+  sig.mix(std::uint64_t{3})
       .mix(c.apparent.slack_ms)
       .mix(std::uint64_t{c.apparent.consider_icao})
       .mix(std::uint64_t{c.apparent.consider_facility})
@@ -138,15 +118,16 @@ PriorRun PriorRun::capture(HoihoResult result, const HoihoConfig& config,
   return prior;
 }
 
-const SuffixResult* PriorRun::find(std::string_view suffix) const {
-  const auto it = index_.find(suffix);
-  return it == index_.end() ? nullptr : &results[it->second];
+const SuffixResult* PriorRun::find(std::uint64_t fingerprint, std::string_view suffix) const {
+  const auto it = index_.find(fingerprint);
+  return it == index_.end() || results[it->second].suffix != suffix ? nullptr
+                                                                     : &results[it->second];
 }
 
 void PriorRun::reindex() {
   index_.clear();
   index_.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) index_[results[i].suffix] = i;
+  for (std::size_t i = 0; i < results.size(); ++i) index_.emplace(results[i].fingerprint, i);
 }
 
 bool is_model_delta(std::string_view head) {

@@ -6,14 +6,16 @@
 // changed. Three artifacts make that sound:
 //
 //   - Every SuffixResult carries a content fingerprint — an FNV-1a hash of
-//     the suffix's hostnames and its routers' RTT rows (suffix_fingerprint).
-//     Because the method is per-suffix (paper §5), an unchanged fingerprint
-//     means the suffix's learned convention is unchanged byte-for-byte.
-//   - A PriorRun is the previous run's fingerprinted results plus the
-//     learner-config and VP-set signatures they were produced under.
-//     Hoiho::run_delta diffs an incoming WorldDelta (the changed suffixes,
-//     rendered as one self-contained batch, plus removals) against it and
-//     re-runs only the dirty suffixes.
+//     the suffix's hostnames, the router each sits on, and its routers' RTT
+//     rows (suffix_fingerprint). Because the method is per-suffix (paper
+//     §5), an unchanged fingerprint means the suffix's learned convention
+//     is unchanged byte-for-byte.
+//   - A PriorRun is a set of fingerprinted results plus the learner-config
+//     and VP-set signatures they were produced under: the previous run for
+//     Hoiho::run_delta, or the results a streaming checkpoint loaded for
+//     Hoiho::run_stream. Either way Hoiho::learn_groups reuses a result
+//     whose fingerprint and suffix match the incoming group and learns the
+//     rest — the one reuse path.
 //   - The output is a ModelDelta: base-generation id + per-suffix
 //     add/replace/remove records, serialized with the same FNV checksum
 //     footer as model files, that serve::ModelStore::apply_delta applies
@@ -45,11 +47,11 @@ struct LoadReport;
 namespace hoiho::core {
 
 // Content fingerprint of one suffix: FNV-1a over the suffix, its hostnames
-// (in group order), the VP count, and each distinct router's RTT row.
-// Equal fingerprints ⇒ the learner would produce an identical SuffixResult
-// (per-suffix independence), so the prior result can be reused verbatim.
-// Never returns 0 (0 is the "unknown, always dirty" sentinel stored by
-// pre-fingerprint checkpoints).
+// (in group order) each with its router's first-appearance ordinal, the VP
+// count, and each distinct router's RTT row. Equal fingerprints ⇒ the
+// learner would produce an identical SuffixResult (per-suffix
+// independence), so a stored result can be reused verbatim. Never returns
+// 0, the "unknown" value of a SuffixResult that was never stamped.
 std::uint64_t suffix_fingerprint(const topo::SuffixGroup& group,
                                  const measure::Measurements& meas);
 
@@ -58,10 +60,11 @@ std::uint64_t suffix_fingerprint(const topo::SuffixGroup& group,
 // expected-RTT geometry moved — so run_delta rejects rather than reuses.
 std::uint64_t vp_set_hash(const std::vector<measure::VantagePoint>& vps);
 
-// Fingerprint of every HoihoConfig knob that shapes learned output (the
-// config half of the checkpoint signature; stream identity excluded).
-// Output-invariant knobs — threads, observability sinks — are excluded, so
-// a prior run taken at threads=8 serves a delta run at threads=1.
+// Fingerprint of every HoihoConfig knob that shapes learned output, plus
+// the dictionary size: run_delta's config gate and the config part of the
+// checkpoint's store key. Output-invariant knobs — threads, observability
+// sinks — are excluded, so a prior run taken at threads=8 serves a delta
+// run at threads=1.
 std::uint64_t learn_signature(const HoihoConfig& config, std::size_t dict_size);
 
 // Canonical model order: sorted by suffix (duplicates keep input order).
@@ -69,13 +72,14 @@ std::uint64_t learn_signature(const HoihoConfig& config, std::size_t dict_size);
 // application reproduces from-scratch bytes exactly.
 void sort_conventions(std::vector<StoredConvention>& conventions);
 
-// The previous run, packaged for diffing: fingerprinted per-suffix results
-// plus the signatures they are only valid under.
+// Stored results, indexed for reuse by fingerprint: the previous run
+// (capture) handed to run_delta, or a checkpoint's results in run_stream.
+// The signatures say what the results are only valid under.
 struct PriorRun {
   std::uint64_t learn_sig = 0;   // learn_signature at capture time
   std::uint64_t vp_hash = 0;     // vp_set_hash of the campaign
   std::uint64_t generation = 0;  // serving generation the run published (0 = none)
-  std::vector<SuffixResult> results;  // stream order, compacted
+  std::vector<SuffixResult> results;  // compacted; run order for a capture
 
   // Takes ownership of `result` and indexes it. `generation` ties the
   // eventual ModelDelta to the serving lineage.
@@ -84,20 +88,15 @@ struct PriorRun {
                           const std::vector<measure::VantagePoint>& vps,
                           std::uint64_t generation = 0);
 
-  // The prior result for `suffix`, or nullptr. O(1).
-  const SuffixResult* find(std::string_view suffix) const;
+  // The stored result for `suffix` whose inputs fingerprinted to
+  // `fingerprint`, or nullptr. O(1).
+  const SuffixResult* find(std::uint64_t fingerprint, std::string_view suffix) const;
 
-  // Rebuilds the suffix index after direct edits to `results`.
+  // Rebuilds the fingerprint index after direct edits to `results`.
   void reindex();
 
  private:
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, std::size_t, SvHash, std::equal_to<>> index_;
+  std::unordered_map<std::uint64_t, std::size_t> index_;  // fingerprint -> results index
 };
 
 // An incoming change-set: the changed/added suffixes rendered as one
@@ -128,7 +127,7 @@ struct ModelDelta {
 struct DeltaRunReport {
   HoihoResult result;
   ModelDelta delta;
-  std::size_t dirty = 0;    // suffixes relearned (fingerprint changed)
+  std::size_t dirty = 0;    // suffixes relearned (no prior result with their fingerprint)
   std::size_t reused = 0;   // suffixes whose prior result was reused
   std::size_t added = 0;    // suffixes not present in the prior run
   std::size_t removed = 0;  // suffixes dropped from the world

@@ -10,6 +10,7 @@
 #include "core/delta.h"
 #include "core/ncb.h"
 #include "io/checkpoint.h"
+#include "util/hash.h"
 #include "util/sysinfo.h"
 #include "util/thread_pool.h"
 
@@ -70,7 +71,7 @@ struct Hoiho::PipelineMetrics {
   obs::Gauge grid_cells;
   obs::Gauge pool_tasks_submitted, pool_tasks_executed;
   obs::Gauge peak_rss_bytes;
-  obs::Histogram suffix_ns, pool_queue_wait_ns;
+  obs::Histogram suffix_ns;
 
   explicit PipelineMetrics(obs::Registry& r)
       : registry(&r),
@@ -115,8 +116,7 @@ struct Hoiho::PipelineMetrics {
         pool_tasks_submitted(r.gauge("pipeline_pool_tasks_submitted")),
         pool_tasks_executed(r.gauge("pipeline_pool_tasks_executed")),
         peak_rss_bytes(r.gauge("pipeline_peak_rss_bytes")),
-        suffix_ns(r.histogram("pipeline_suffix_ns")),
-        pool_queue_wait_ns(r.histogram("pool_queue_wait_ns")) {}
+        suffix_ns(r.histogram("pipeline_suffix_ns")) {}
 
   // Folds a pool's work since `prev` (its stats at the previous fold) into
   // the registry: the aggregate counters plus a per-worker depth/executed
@@ -168,18 +168,6 @@ void compact(SuffixResult& sr) {
   std::vector<HostnameEval>().swap(sr.eval.per_hostname);
 }
 
-// Fingerprints every config knob that changes learned output
-// (learn_signature, shared with incremental relearning) plus the stream
-// identity, so a checkpoint written under one config/world never resumes
-// under another. Output-invariant knobs (threads, observability pointers)
-// are excluded by learn_signature.
-std::uint64_t checkpoint_signature(const HoihoConfig& c, const io::SuffixStream& stream,
-                                   std::size_t dict_size) {
-  io::StreamSignature sig;
-  sig.mix(learn_signature(c, dict_size)).mix(stream.signature());
-  return sig.value();
-}
-
 // A run plus its observability report, on the config's registry/tracer or,
 // when those are null, on private ones scoped to this call.
 template <typename Run>
@@ -222,7 +210,9 @@ std::shared_ptr<const measure::ExpectedRttGrid> Hoiho::expected_rtt_grid(
 
 SuffixResult Hoiho::run_suffix(const topo::SuffixGroup& group,
                                const measure::Measurements& meas) const {
-  return run_suffix_instrumented(group, meas, nullptr, nullptr);
+  SuffixResult result = run_suffix_instrumented(group, meas, nullptr, nullptr);
+  result.fingerprint = suffix_fingerprint(group, meas);
+  return result;
 }
 
 SuffixResult Hoiho::run_suffix_instrumented(const topo::SuffixGroup& group,
@@ -240,10 +230,6 @@ SuffixResult Hoiho::run_suffix_instrumented(const topo::SuffixGroup& group,
   measure::ConsistencyCache cache(meas, dict_.size(), config_.apparent.slack_ms,
                                   /*prefilter=*/true, grid.get());
   SuffixResult result = run_suffix_impl(group, meas, cache, pm, tracer);
-  // Stamp the content fingerprint on every path (skipped suffixes too):
-  // incremental runs diff against it, and a prior entry without one would
-  // read as always-dirty.
-  result.fingerprint = suffix_fingerprint(group, meas);
 
   if (pm != nullptr) {
     pm->suffixes.inc();
@@ -424,12 +410,11 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   return result;
 }
 
-std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
-                                              const measure::Measurements& meas,
-                                              PipelineMetrics* pm, obs::Tracer* tracer,
-                                              Workers& workers,
-                                              const std::function<void()>& while_learning) const {
-  std::vector<SuffixResult> slots(groups.size());
+Hoiho::Learned Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
+                                   const measure::Measurements& meas, PipelineMetrics* pm,
+                                   obs::Tracer* tracer, Workers& workers, const PriorRun* reuse,
+                                   const std::function<void()>& while_learning) const {
+  Learned out{std::vector<SuffixResult>(groups.size()), std::vector<char>(groups.size(), 0)};
   if (pm != nullptr && !groups.empty()) {
     // Build the shared grid up front (the workers would race to the same
     // build anyway) so its size is on record. A run's groups share one VP
@@ -437,6 +422,22 @@ std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup>
     if (const auto grid = expected_rtt_grid(meas))
       pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
   }
+
+  // Slot i: the stored result for this exact content when `reuse` holds
+  // one (the fingerprint covers every input of a per-suffix learn), else a
+  // fresh learn stamped with its fingerprint. Every slot is written by one
+  // task only.
+  const auto fill = [&](std::size_t i) {
+    const std::uint64_t fp = suffix_fingerprint(groups[i], meas);
+    if (const SuffixResult* hit = reuse != nullptr ? reuse->find(fp, groups[i].suffix) : nullptr) {
+      out.results[i] = *hit;
+      out.reused[i] = 1;
+      if (pm != nullptr) pm->delta_reused.inc();
+      return;
+    }
+    out.results[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
+    out.results[i].fingerprint = fp;
+  };
 
   if (!workers.pool) {
     // Never oversubscribe: suffix learning is CPU-bound, so workers beyond
@@ -450,20 +451,18 @@ std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup>
     if (!while_learning) threads = std::min(threads, groups.size());
     if (threads > 1) {
       workers.pool.emplace(threads);
-      if (pm != nullptr) workers.pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);
       workers.folded = workers.pool->stats();
     }
   }
   if (!workers.pool) {
-    for (std::size_t i = 0; i < groups.size(); ++i)
-      slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
+    for (std::size_t i = 0; i < groups.size(); ++i) fill(i);
     if (while_learning) while_learning();
-    return slots;
+    return out;
   }
 
   // Suffix runs are independent: each reads only the shared const inputs
-  // (dictionary, groups, measurements) and writes its own slot, so results
-  // land by group index and match the sequential path.
+  // (dictionary, groups, measurements, reuse source) and writes its own
+  // slot, so results land by group index and match the sequential path.
   //
   // Suffix sizes are heavily skewed (one consumer ISP next to dozens of
   // small operators), so the groups are seeded cost-descending into a
@@ -478,10 +477,7 @@ std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup>
   });
   std::vector<std::function<void()>> tasks;
   tasks.reserve(order.size());
-  for (std::size_t idx : order)
-    tasks.push_back([this, &slots, groups, &meas, pm, tracer, idx] {
-      slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
-    });
+  for (std::size_t idx : order) tasks.push_back([&fill, idx] { fill(idx); });
   pool.seed(std::move(tasks));
   if (while_learning) while_learning();
   if (config_.worker_stall_ms > 0) {
@@ -501,7 +497,7 @@ std::vector<SuffixResult> Hoiho::learn_groups(std::span<const topo::SuffixGroup>
     pm->fold_pool(now, workers.folded);
     workers.folded = std::move(now);
   }
-  return slots;
+  return out;
 }
 
 HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
@@ -515,7 +511,7 @@ HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
   const std::vector<topo::SuffixGroup> groups = topo.group_by_suffix();
   run_span.set_work(groups.size());
   Workers workers;
-  std::vector<SuffixResult> slots = learn_groups(groups, meas, pm, tracer, workers);
+  std::vector<SuffixResult> slots = learn_groups(groups, meas, pm, tracer, workers).results;
   if (pm != nullptr) pm->note_peak_rss();
 
   HoihoResult result;
@@ -532,61 +528,64 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
 
   obs::Span run_span(tracer, "run_stream");
   HoihoResult result;
+  Workers workers;  // one pool for the whole stream
+  std::size_t total_suffixes = 0;
+  bool truncated = false;  // a commit failure cut the run short mid-stream
+  std::optional<io::SuffixBatch> batch = stream.next_batch();
 
-  // Durability (DESIGN.md §14): commit every batch's compacted results to a
-  // WAL + manifest, and resume after the last committed batch when the
-  // directory already holds a checkpoint for this exact config and stream.
+  // Durability (DESIGN.md §14): the checkpoint is a store of learned
+  // results, valid only under the key of everything that shapes them
+  // besides a suffix's own inputs — the learner config, the dictionary's
+  // content and the campaign's VP set (every batch shares the first's). A
+  // store under another key is discarded whole; under this key its
+  // results are learn_groups' reuse source, matched per suffix by
+  // fingerprint, so a killed run resumes where it died and a new snapshot
+  // of the world relearns only the suffixes that changed.
   std::optional<io::Checkpoint> ckpt;
-  std::size_t skip_batches = 0;
-  if (!config_.checkpoint_dir.empty()) {
-    ckpt.emplace(config_.checkpoint_dir, checkpoint_signature(config_, stream, dict_.size()),
-                 dict_);
+  PriorRun store;
+  if (!config_.checkpoint_dir.empty() && batch) {
+    const std::uint64_t key = util::Fnv1a()
+                                  .mix(learn_signature(config_, dict_.size()))
+                                  .mix(dict_.content_hash())
+                                  .mix(vp_set_hash(batch->pings.vps))
+                                  .value();
+    ckpt.emplace(config_.checkpoint_dir, key, dict_);
     io::Checkpoint::Resume resume = ckpt->open();
     if (pm != nullptr) {
       if (resume.discarded) pm->checkpoint_discarded.inc();
       pm->checkpoint_batches_resumed.add(resume.batches);
       pm->checkpoint_results_resumed.add(resume.results.size());
     }
-    skip_batches = resume.batches;
-    result.suffixes = std::move(resume.results);
+    store.results = std::move(resume.results);
+    store.reindex();
   }
 
-  Workers workers;  // one pool for the whole stream
-  std::size_t total_suffixes = 0;
-  bool truncated = false;  // a commit failure cut the run short mid-stream
-  std::optional<io::SuffixBatch> batch = stream.next_batch();
-  // Replay the stream past already-committed batches: the stream is
-  // deterministic (signature-checked), so batch k regenerated now is the
-  // batch k whose results the WAL already holds.
-  while (skip_batches > 0 && batch) {
-    --skip_batches;
-    batch = stream.next_batch();
-  }
   while (batch) {
     total_suffixes += batch->groups.size();
     // Double buffering: this thread renders batch k+1 while the workers
     // learn batch k. The stream is only ever touched from this thread; the
     // workers only touch the current batch.
     std::optional<io::SuffixBatch> next;
-    std::vector<SuffixResult> slots =
-        learn_groups(batch->groups, batch->pings, pm, tracer, workers,
-                     [&] { next = stream.next_batch(); });
+    Learned learned = learn_groups(batch->groups, batch->pings, pm, tracer, workers,
+                                   ckpt ? &store : nullptr, [&] { next = stream.next_batch(); });
 
     const std::size_t batch_begin = result.suffixes.size();
-    for (SuffixResult& sr : slots) {
+    std::vector<SuffixResult> commit;  // what this batch learned (reused results are stored)
+    for (std::size_t i = 0; i < learned.results.size(); ++i) {
+      SuffixResult& sr = learned.results[i];
       if (sr.hostname_count == 0) continue;
       compact(sr);
+      if (ckpt && !learned.reused[i]) commit.push_back(sr);
       result.suffixes.push_back(std::move(sr));
     }
-    if (ckpt) {
+    if (!commit.empty()) {
       std::string err;
-      if (ckpt->commit_batch(
-              std::span<const SuffixResult>(result.suffixes).subspan(batch_begin), &err)) {
+      if (ckpt->commit_batch(commit, &err)) {
         if (pm != nullptr) pm->checkpoint_batches_committed.inc();
       } else {
         // Durability-first: drop the uncommitted batch and stop — exactly
-        // the state a crash at this boundary leaves, so a rerun resumes
-        // here and relearns only this batch.
+        // the state a crash at this boundary leaves, so a rerun reuses
+        // everything committed and relearns only from here.
         if (pm != nullptr) pm->checkpoint_commit_failures.inc();
         result.suffixes.resize(batch_begin);
         truncated = true;
@@ -638,6 +637,8 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
   // Compatibility gates: a prior run under a different learner config or a
   // different VP campaign cannot seed reuse — the expected-RTT geometry
   // moved under every suffix, so the caller must fall back to a full run.
+  // The dictionary enters as its size only: PriorRun::capture's callers,
+  // perfbench among them, hand it the size, not the dictionary.
   const std::uint64_t sig = learn_signature(config_, dict_.size());
   if (prior.learn_sig != 0 && prior.learn_sig != sig) {
     report.error = "prior run learner-config signature mismatch (full relearn required)";
@@ -648,59 +649,49 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
     report.error = "vantage-point set changed since the prior run (full relearn required)";
     return report;
   }
-  {
-    std::unordered_set<std::string_view> removed(world.removed.begin(), world.removed.end());
-    for (const topo::SuffixGroup& g : groups)
-      if (removed.contains(g.suffix)) {
-        report.error = "suffix '" + g.suffix + "' both changed and removed";
-        return report;
-      }
-  }
+  const std::unordered_set<std::string_view> removed(world.removed.begin(), world.removed.end());
+  for (const topo::SuffixGroup& g : groups)
+    if (removed.contains(g.suffix)) {
+      report.error = "suffix '" + g.suffix + "' both changed and removed";
+      return report;
+    }
 
-  // Diff: fingerprint every incoming group; an unchanged fingerprint means
-  // the prior result (and all its ConsistencyCache/eval work) is reused
-  // verbatim. A prior fingerprint of 0 (pre-fingerprint checkpoint) never
-  // matches — unknown content is always dirty.
-  std::vector<topo::SuffixGroup> dirty;
-  for (const topo::SuffixGroup& g : groups) {
-    const std::uint64_t fp = suffix_fingerprint(g, meas);
-    const SuffixResult* prev = prior.find(g.suffix);
-    if (prev != nullptr && prev->fingerprint != 0 && prev->fingerprint == fp)
-      ++report.reused;
-    else
-      dirty.push_back(g);
-  }
-
-  // Relearn only the dirty suffixes, on run()'s fan-out; the shared
-  // expected-RTT grid memo serves every rerun.
+  // Every incoming group goes through run()'s fan-out with the prior as
+  // the reuse source: an unchanged fingerprint reuses the prior result
+  // (and all its ConsistencyCache/eval work) verbatim, the rest relearn on
+  // the shared expected-RTT grid.
   const auto t_relearn = std::chrono::steady_clock::now();
   Workers workers;
-  std::vector<SuffixResult> fresh = learn_groups(dirty, meas, pm, tracer, workers);
-  report.dirty = dirty.size();
+  Learned fresh = learn_groups(groups, meas, pm, tracer, workers, &prior);
   report.relearn_wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t_relearn)
           .count();
 
-  // Merge: prior order with dirty results swapped in and removals dropped;
-  // brand-new suffixes append in group order. Fresh results are compacted
-  // like run_stream's so chained PriorRuns stay bounded.
-  std::unordered_set<std::string_view> removed_set(world.removed.begin(), world.removed.end());
+  // Merge: prior order with relearned results swapped in and removals
+  // dropped; brand-new suffixes append in group order. Reused groups keep
+  // their prior entry. Relearned results are compacted like run_stream's
+  // so chained PriorRuns stay bounded.
   std::unordered_map<std::string_view, std::size_t> fresh_by_suffix;
-  fresh_by_suffix.reserve(fresh.size());
-  for (std::size_t k = 0; k < dirty.size(); ++k) fresh_by_suffix[dirty[k].suffix] = k;
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    if (fresh.reused[k])
+      ++report.reused;
+    else
+      fresh_by_suffix[groups[k].suffix] = k;
+  }
+  report.dirty = groups.size() - report.reused;
 
   report.delta.base_generation = prior.generation;
-  std::vector<char> fresh_used(fresh.size(), 0);
+  std::vector<char> fresh_used = fresh.reused;
   report.result.suffixes.reserve(prior.results.size() + groups.size());
   for (const SuffixResult& prev : prior.results) {
-    if (removed_set.contains(prev.suffix)) {
+    if (removed.contains(prev.suffix)) {
       ++report.removed;
       if (prev.has_nc()) report.delta.removes.push_back(prev.suffix);
       continue;
     }
     const auto fit = fresh_by_suffix.find(prev.suffix);
     if (fit != fresh_by_suffix.end()) {
-      SuffixResult& nr = fresh[fit->second];
+      SuffixResult& nr = fresh.results[fit->second];
       fresh_used[fit->second] = 1;
       if (nr.hostname_count == 0) {  // run() drops empty groups; so does the merge
         ++report.removed;
@@ -715,11 +706,11 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
       report.result.suffixes.push_back(std::move(nr));
       continue;
     }
-    report.result.suffixes.push_back(prev);  // untouched or fingerprint-reused
+    report.result.suffixes.push_back(prev);  // untouched or reused
   }
-  for (std::size_t k = 0; k < fresh.size(); ++k) {
+  for (std::size_t k = 0; k < groups.size(); ++k) {
     if (fresh_used[k]) continue;
-    SuffixResult& nr = fresh[k];
+    SuffixResult& nr = fresh.results[k];
     if (nr.hostname_count == 0) continue;
     ++report.added;
     if (nr.has_nc()) report.delta.upserts.push_back(StoredConvention{nr.nc, nr.cls});
@@ -733,7 +724,6 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
 
   if (pm != nullptr) {
     pm->delta_dirty.add(report.dirty);
-    pm->delta_reused.add(report.reused);
     pm->delta_added.add(report.added);
     pm->delta_removed.add(report.removed);
     pm->delta_relearn_us.add(static_cast<std::uint64_t>(report.relearn_wall_ms * 1e3));

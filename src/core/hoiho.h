@@ -60,13 +60,14 @@ struct HoihoConfig {
   // are collected by group index, identical to the sequential order.
   std::size_t threads = 0;
 
-  // Durable streaming runs (DESIGN.md §14). Non-empty: run_stream commits
-  // each batch's results to a WAL + manifest under this directory
-  // (io/checkpoint.h) and, when the directory already holds a checkpoint
-  // whose signature matches this config and the stream, resumes after the
-  // last committed batch instead of relearning from suffix 0. The resumed
-  // final model is byte-identical to an uninterrupted run's. Ignored by
-  // run() (batch mode has no incremental commit points).
+  // Durable streaming runs (DESIGN.md §14). Non-empty: the directory holds
+  // a store of learned results (io/checkpoint.h) keyed by this config, the
+  // dictionary's content and the stream's VP set. run_stream reuses every
+  // stored result whose suffix fingerprint matches its incoming group and
+  // commits what each batch learned, so a killed run resumes where it died
+  // and a run over a new snapshot of the world relearns only the suffixes
+  // that changed. Either way the final model is byte-identical to an
+  // uncheckpointed run's. Ignored by run().
   std::string checkpoint_dir;
 
   // Stall watchdog for the learner's pool (0 = off): while waiting for the
@@ -105,11 +106,10 @@ struct SuffixResult {
   NcClass cls = NcClass::kPoor;
   std::vector<LearnedHint> learned;    // stage-4 output
 
-  // Content fingerprint of the suffix's inputs (hostnames + RTT rows;
-  // core/delta.h). Because the method is per-suffix, an equal fingerprint
-  // on a later run means this exact result would be reproduced — the basis
-  // for incremental relearning. 0 = unknown (pre-fingerprint checkpoints),
-  // treated as always dirty.
+  // Content fingerprint of the suffix's inputs (hostnames, their routers
+  // and the RTT rows; core/delta.h). Because the method is per-suffix, an
+  // equal fingerprint on a later run means this exact result would be
+  // reproduced — the key every reuse goes by. 0 = never stamped.
   std::uint64_t fingerprint = 0;
 
   bool has_nc() const { return !nc.empty(); }
@@ -180,25 +180,27 @@ class Hoiho {
   // — they point into batch-owned hostnames — so streamed results carry the
   // learned NC, hints, class, and aggregate counts, but not per-hostname
   // outcomes (HoihoResult::geolocated_router_count() reports 0).
+  //
+  // With config.checkpoint_dir set, the checkpoint's stored results are the
+  // reuse source of learn_groups and each batch commits the results it
+  // learned (DESIGN.md §14).
   HoihoResult run_stream(io::SuffixStream& stream) const;
 
   // run_stream() plus the observability report; also publishes the
   // stream's ingest accounting (ingest_* counters, source="stream").
   RunReport run_stream_report(io::SuffixStream& stream) const;
 
-  // Incremental relearning (DESIGN.md §16): diffs `world` — the changed
-  // suffixes rendered as one self-contained batch, plus removals — against
-  // the prior run's per-suffix fingerprints, re-runs only the dirty
-  // suffixes (same work-stealing pool and cost-descending seeding as
-  // run()), and reuses the prior SuffixResult verbatim for untouched ones
-  // (their ConsistencyCache/eval work is never repeated; the shared
-  // expected-RTT grid is reused across the dirty reruns). The report
-  // carries the merged result set — equal to a from-scratch run over the
-  // churned world, modulo streaming compaction — and a ModelDelta against
-  // prior.generation. Fails (report.error) without running anything when
-  // the prior's learner-config or VP-set signature doesn't match; a
-  // changed campaign invalidates every suffix, so the caller must fall
-  // back to a full run.
+  // Incremental relearning (DESIGN.md §16): runs `world` — the changed
+  // suffixes rendered as one self-contained batch, plus removals — through
+  // learn_groups with `prior` as the reuse source, so a group whose
+  // fingerprint matches its prior result reuses it verbatim and the dirty
+  // rest are relearned (same work-stealing pool and cost-descending seeding
+  // as run()). The report carries the merged result set — equal to a
+  // from-scratch run over the churned world, modulo streaming compaction —
+  // and a ModelDelta against prior.generation. Fails (report.error) without
+  // running anything when the prior's learner-config or VP-set signature
+  // doesn't match; a changed campaign invalidates every suffix, so the
+  // caller must fall back to a full run.
   DeltaRunReport run_delta(const WorldDelta& world, const PriorRun& prior) const;
 
   // Runs the pipeline for one suffix group.
@@ -227,15 +229,25 @@ class Hoiho {
   std::shared_ptr<const measure::ExpectedRttGrid> expected_rtt_grid(
       const measure::Measurements& meas) const;
 
+  // What learn_groups returns: results[i] is groups[i]'s result, copied
+  // from the reuse source when reused[i] is set, learned otherwise.
+  struct Learned {
+    std::vector<SuffixResult> results;
+    std::vector<char> reused;
+  };
+
   // The learner's one fan-out, behind run(), each run_stream() batch and
-  // run_delta()'s relearn: learns groups[i] into slot i of the result,
-  // largest group first, on `workers`' pool (started on first use, unless
-  // the clamp leaves one worker) or inline. `while_learning` runs on this
-  // thread while the workers learn.
-  std::vector<SuffixResult> learn_groups(std::span<const topo::SuffixGroup> groups,
-                                         const measure::Measurements& meas, PipelineMetrics* pm,
-                                         obs::Tracer* tracer, Workers& workers,
-                                         const std::function<void()>& while_learning = {}) const;
+  // run_delta(), and the one place a stored result is reused. Each task
+  // fingerprints its group; a result in `reuse` with that fingerprint and
+  // suffix is copied (counted in delta_suffixes_reused), anything else is
+  // learned and stamped with the fingerprint. Tasks run largest group first
+  // on `workers`' pool (started on first use, unless the clamp leaves one
+  // worker) or inline. `while_learning` runs on this thread while the
+  // workers learn.
+  Learned learn_groups(std::span<const topo::SuffixGroup> groups,
+                       const measure::Measurements& meas, PipelineMetrics* pm,
+                       obs::Tracer* tracer, Workers& workers, const PriorRun* reuse = nullptr,
+                       const std::function<void()>& while_learning = {}) const;
 
   // run() with explicit instrumentation sinks (either may be null).
   HoihoResult run_instrumented(const topo::Topology& topo, const measure::Measurements& meas,

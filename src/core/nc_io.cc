@@ -13,13 +13,13 @@
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/file.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace hoiho::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::string_view kChecksumPrefix = "# checksum,fnv1a,";
 
 int hex_digit(char c) {
@@ -55,11 +55,7 @@ std::optional<NcClass> nc_class_from_token(std::string_view s) {
 }
 
 std::uint64_t fnv1a_hash(std::string_view bytes, std::uint64_t h) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return util::Fnv1a(h).mix(bytes).value();
 }
 
 std::string checksum_footer_line(std::uint64_t hash) {

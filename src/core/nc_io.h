@@ -24,6 +24,7 @@
 
 #include "core/geohint.h"
 #include "geo/dictionary.h"
+#include "util/hash.h"
 
 namespace hoiho::io {
 struct LoadReport;
@@ -36,7 +37,7 @@ namespace hoiho::core {
 // (save_conventions_to_file), the streaming-checkpoint WAL and manifest
 // (io/checkpoint), and the serving generation archive (serve::ModelStore),
 // so every durable artifact carries the same torn-write detector.
-inline constexpr std::uint64_t kFnvSeed = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFnvSeed = util::Fnv1a::kSeed;
 std::uint64_t fnv1a_hash(std::string_view bytes, std::uint64_t h = kFnvSeed);
 
 // Renders / parses the footer line itself (no trailing newline). The hash

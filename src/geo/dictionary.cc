@@ -72,6 +72,9 @@ LocationId GeoDictionary::add_location(Location loc) {
     bucketed[c - 'a'] = true;
     abbrev_first_[static_cast<std::size_t>(c - 'a')].push_back(id);
   }
+  content_.mix("L\n").mix(loc.city).mix("\n").mix(loc.state).mix("\n").mix(loc.country)
+      .mix("\n").mix(loc.coord.lat).mix(loc.coord.lon).mix(loc.population)
+      .mix(std::uint64_t{loc.has_facility});
   locations_.push_back(std::move(loc));
   codes_.emplace_back();
   facility_addrs_.emplace_back();
@@ -104,6 +107,8 @@ void GeoDictionary::add_code(HintType type, std::string_view code, LocationId id
   for (LocationId existing : v)
     if (existing == id) return;
   v.push_back(id);
+  content_.mix("C\n").mix(std::uint64_t{static_cast<std::uint8_t>(type)}).mix(key).mix("\n")
+      .mix(std::uint64_t{id});
   // Maintain the reverse index for fixed-width code types.
   switch (type) {
     case HintType::kIata: codes_[id].iata.push_back(key); break;
@@ -121,6 +126,7 @@ void GeoDictionary::add_facility_address(std::string_view address, LocationId id
   for (LocationId existing : v)
     if (existing == id) return;
   v.push_back(id);
+  content_.mix("F\n").mix(key).mix("\n").mix(std::uint64_t{id});
   facility_addrs_[id].push_back(key);
   locations_[id].has_facility = true;
 }
@@ -132,6 +138,7 @@ void GeoDictionary::add_city_alias(std::string_view name, LocationId id) {
   for (LocationId existing : v)
     if (existing == id) return;
   v.push_back(id);
+  content_.mix("A\n").mix(key).mix("\n").mix(std::uint64_t{id});
 }
 
 std::span<const LocationId> GeoDictionary::lookup(HintType type, std::string_view code) const {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "geo/location.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace hoiho::geo {
@@ -114,6 +115,13 @@ class GeoDictionary {
   std::vector<LocationId> abbreviation_candidates(std::string_view abbrev,
                                                   const AbbrevOptions& opts = {}) const;
 
+  // FNV-1a over everything the add_* calls put in, in call order: equal for
+  // two dictionaries built alike, different after any edit, including one
+  // that keeps the size (a moved coordinate). Keys the learner's result
+  // store (io/checkpoint.h), whose results are only valid for one
+  // dictionary.
+  std::uint64_t content_hash() const { return content_.value(); }
+
  private:
   // String maps are probed with string_view keys (transparent hash) so hot
   // lookups don't allocate a canonical copy.
@@ -137,6 +145,7 @@ class GeoDictionary {
   CodeSet countries_;
   CodeSet states_;            // "cc/st"
   CodeSet states_any_;        // "st"
+  util::Fnv1a content_;       // see content_hash()
 
   const CodeMap* map_for(HintType t) const;
   CodeMap* map_for(HintType t);

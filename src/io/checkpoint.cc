@@ -59,10 +59,7 @@ void append_batch(std::ostream& out, std::size_t batch_index,
               std::to_string(r.eval.regex_unique_tp.size()), std::to_string(c.tp),
               std::to_string(c.fp), std::to_string(c.fn), std::to_string(c.unk),
               std::to_string(c.none), std::to_string(c.budget_exhausted),
-              // Trailing content fingerprint (hex16): lets run_delta trust a
-              // resumed result's dirtiness without re-reading the world.
-              // Absent (12-field X record) in pre-delta WALs; 0 = unknown.
-              hex16(r.fingerprint)});
+              hex16(r.fingerprint)});  // the reuse key (core/delta.h)
     for (const core::GeoRegex& gr : r.nc.regexes)
       util::write_csv_row(out, {"R", core::plan_to_token(gr.plan), gr.regex.to_string()});
     for (const auto& [key, loc] : r.nc.learned) {
@@ -111,7 +108,7 @@ class WalParser {
         } else if (util::starts_with(line, "# sig,")) {
           std::uint64_t sig = 0;
           if (!parse_hex16(line.substr(6), &sig) || sig != sig_)
-            return fail(why, "signature mismatch (config or stream changed)");
+            return fail(why, "key mismatch (config, dictionary or VP set changed)");
           saw_sig = true;
         }
         continue;
@@ -156,11 +153,7 @@ class WalParser {
     }
     if (!in_batch_) return fail(why, where + ": record outside a batch");
     if (kind == "X") {
-      // 12 fields is the pre-delta layout; 13 appends the hex16 content
-      // fingerprint. Both load — an old WAL resumes with fingerprint 0
-      // (always-dirty for run_delta, which is the safe direction).
-      if (row.size() != 12 && row.size() != 13)
-        return fail(why, where + ": X record needs 12 or 13 fields");
+      if (row.size() != 13) return fail(why, where + ": X record needs 13 fields");
       if (!finish_result(why, where)) return false;
       core::SuffixResult r;
       r.suffix = row[1];
@@ -170,12 +163,9 @@ class WalParser {
                  fp = util::parse_u64(row[7]), fn = util::parse_u64(row[8]),
                  unk = util::parse_u64(row[9]), none = util::parse_u64(row[10]),
                  budget = util::parse_u64(row[11]);
-      std::uint64_t fingerprint = 0;
       if (!cls || !hosts || !tagged || !sets || !tp || !fp || !fn || !unk || !none || !budget ||
-          *hosts == 0 || r.suffix.empty() ||
-          (row.size() == 13 && !parse_hex16(row[12], &fingerprint)))
+          *hosts == 0 || r.suffix.empty() || !parse_hex16(row[12], &r.fingerprint))
         return fail(why, where + ": bad X record");
-      r.fingerprint = fingerprint;
       r.cls = *cls;
       r.hostname_count = *hosts;
       r.tagged_count = *tagged;
@@ -323,7 +313,7 @@ bool Checkpoint::load_existing(Resume* out, std::string* why) {
     return false;
   }
   if (sig != sig_) {
-    *why = "signature mismatch (config or stream changed)";
+    *why = "key mismatch (config, dictionary or VP set changed)";
     return false;
   }
 

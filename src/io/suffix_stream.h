@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -49,30 +48,6 @@ struct SuffixBatch {
   }
 };
 
-// Helper for implementing SuffixStream::signature(): order-dependent
-// FNV-1a mixing of scalar knobs. Mix every knob that shapes the emitted
-// batches — seeds, sizes, rates, and the batch budget (batch boundaries ARE
-// part of the identity: checkpoints commit whole batches).
-class StreamSignature {
- public:
-  StreamSignature& mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 1099511628211ULL;  // FNV-1a 64 prime
-    }
-    return *this;
-  }
-  StreamSignature& mix(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return mix(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-};
-
 // Pull iterator over suffix batches. Implementations decide batch sizing
 // (typically a hostname budget: accumulate whole suffixes until the budget
 // is met, at least one suffix per batch).
@@ -90,11 +65,10 @@ class SuffixStream {
   // registry for the unified `ingest_*` counters.
   virtual const LoadReport& report() const = 0;
 
-  // Stable fingerprint of the stream's content AND batching: two streams
-  // with equal signatures emit identical batch sequences. Keys streaming
-  // checkpoints (io/checkpoint) so a resume never replays against a
-  // different world. The default 0 means "unidentified" — checkpointing
-  // still works but only the learner config guards the resume.
+  // An identity a source may report for its stream (default 0). The
+  // learner reads none: its result store keys every reuse by suffix
+  // content (io/checkpoint.h). Kept because stream implementations outside
+  // src/ (the perfbench replay stream) override it.
   virtual std::uint64_t signature() const { return 0; }
 };
 

@@ -108,63 +108,6 @@ void StreamingWorld::reset() {
   report_ = io::LoadReport{};
 }
 
-std::uint64_t StreamingWorld::signature() const {
-  const StreamingWorldConfig& c = config_;
-  const WorldConfig& t = c.traits;
-  const PingConfig& p = c.ping;
-  io::StreamSignature sig;
-  sig.mix(std::uint64_t{1})  // signature format version
-      .mix(c.seed)
-      .mix(std::uint64_t{c.suffixes})
-      .mix(std::uint64_t{c.target_hostnames})
-      .mix(c.zipf_s)
-      .mix(std::uint64_t{c.max_hostnames_per_suffix})
-      .mix(std::uint64_t{c.min_routers_per_suffix})
-      .mix(std::uint64_t{c.vp_count})
-      .mix(std::uint64_t{c.batch_hostname_budget});
-  sig.mix(t.seed)
-      .mix(std::uint64_t{t.ipv6})
-      .mix(std::uint64_t{t.operators})
-      .mix(t.size_alpha)
-      .mix(t.size_xm)
-      .mix(std::uint64_t{t.max_routers_per_operator})
-      .mix(std::uint64_t{t.vp_count})
-      .mix(t.hostname_rate)
-      .mix(t.geohint_scheme_rate)
-      .mix(t.inconsistent_rate)
-      .mix(t.stale_rate)
-      .mix(t.mislabel_operator_rate)
-      .mix(t.mislabel_rate)
-      .mix(t.custom_operator_rate)
-      .mix(t.custom_loc_frac)
-      .mix(t.w_iata)
-      .mix(t.w_city)
-      .mix(t.w_clli)
-      .mix(t.w_locode)
-      .mix(t.w_facility)
-      .mix(t.p_split_clli)
-      .mix(t.p_country_iata)
-      .mix(t.p_state_iata)
-      .mix(t.p_country_city)
-      .mix(t.p_state_city)
-      .mix(t.p_country_clli)
-      .mix(std::uint64_t{t.spatial_footprint})
-      .mix(t.satellite_site_rate)
-      .mix(t.ambiguous_operator_rate);
-  sig.mix(p.seed)
-      .mix(p.router_response_rate)
-      .mix(p.vp_sample_rate)
-      .mix(p.inflation_min)
-      .mix(p.inflation_max)
-      .mix(p.noise_min_ms)
-      .mix(p.noise_max_ms)
-      .mix(p.anycast_rate);
-  // Mixed only when active so churn-free worlds keep their pre-churn
-  // signatures (checkpoints from older builds still resume).
-  if (c.churn_frac > 0) sig.mix(std::uint64_t{2}).mix(c.churn_seed).mix(c.churn_frac);
-  return sig.value();
-}
-
 bool StreamingWorld::is_churned(std::size_t k) const {
   if (config_.churn_frac <= 0) return false;
   if (config_.churn_frac >= 1) return true;

@@ -68,11 +68,6 @@ class StreamingWorld final : public io::SuffixStream {
 
   const io::LoadReport& report() const override { return report_; }
 
-  // Fingerprints every config knob that shapes the emitted batches (world
-  // traits, ping model, sizing, batch budget), so checkpoints written
-  // against one world never resume against another.
-  std::uint64_t signature() const override;
-
   // Rewinds to suffix 0 and clears accounting; the regenerated stream is
   // identical (per-suffix rngs carry no cross-suffix state).
   void reset();

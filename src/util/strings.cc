@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace hoiho::util {
@@ -76,6 +77,13 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_double(std::string_view s) {
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

@@ -53,6 +53,10 @@ std::vector<std::string_view> split_keep_empty(std::string_view s, char delim);
 // counts, indices and generation numbers through this.
 std::optional<std::uint64_t> parse_u64(std::string_view s);
 
+// Whole-token finite decimal, the floating-point twin of parse_u64: no
+// surrounding bytes, no inf or nan. nullopt on anything else.
+std::optional<double> parse_double(std::string_view s);
+
 // Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -47,7 +47,6 @@ WorkStealingPool::~WorkStealingPool() {
 
 void WorkStealingPool::seed(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  const std::uint64_t now = steady_now_ns();
   const std::size_t n_workers = shards_.size();
   in_flight_.fetch_add(tasks.size(), std::memory_order_relaxed);
   queued_.fetch_add(tasks.size(), std::memory_order_release);
@@ -57,37 +56,7 @@ void WorkStealingPool::seed(std::vector<std::function<void()>> tasks) {
     Shard& shard = *shards_[w];
     const std::lock_guard lock(shard.mu);
     for (std::size_t i = w; i < tasks.size(); i += n_workers)
-      shard.deque.push_back(Task{std::move(tasks[i]), now});
-    shard.stats.max_queue_depth = std::max(shard.stats.max_queue_depth, shard.deque.size());
-  }
-  {
-    // Fence against a sleeper that checked queued_ but hasn't blocked yet.
-    const std::lock_guard lock(idle_mu_);
-  }
-  cv_work_.notify_all();
-}
-
-void WorkStealingPool::submit(std::function<void()> task) {
-  // Pick the shallowest deque by an unlocked scan; the race is benign (the
-  // choice is a load-balancing hint, not a correctness property).
-  std::size_t best = 0, best_depth = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::size_t d = [&] {
-      const std::lock_guard lock(shards_[i]->mu);
-      return shards_[i]->deque.size();
-    }();
-    if (d < best_depth) {
-      best = i;
-      best_depth = d;
-    }
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  queued_.fetch_add(1, std::memory_order_release);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    Shard& shard = *shards_[best];
-    const std::lock_guard lock(shard.mu);
-    shard.deque.push_back(Task{std::move(task), steady_now_ns()});
+      shard.deque.push_back(std::move(tasks[i]));
     shard.stats.max_queue_depth = std::max(shard.stats.max_queue_depth, shard.deque.size());
   }
   {
@@ -175,12 +144,10 @@ bool WorkStealingPool::try_steal(std::size_t thief, Task& out) {
 }
 
 void WorkStealingPool::run_task(std::size_t index, Task& task) {
-  if (queue_wait_ns_)
-    queue_wait_ns_.observe(static_cast<double>(steady_now_ns() - task.enqueue_ns));
   Heartbeat& hb = heartbeats_[index];
   hb.task_seq.fetch_add(1, std::memory_order_relaxed);
   hb.busy_since_ns.store(steady_now_ns(), std::memory_order_release);
-  task.fn();
+  task();
   hb.busy_since_ns.store(0, std::memory_order_release);
   {
     Shard& own = *shards_[index];

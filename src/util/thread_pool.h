@@ -25,11 +25,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace hoiho::util {
 
@@ -61,8 +60,7 @@ std::size_t resolve_threads(std::size_t requested);
 // largest-cost-first), wait_idle(), optionally seed() the next batch. Task
 // i of a seed call lands on worker i % thread_count() — deterministic
 // placement, so a cost-descending order gives every worker one of the k
-// largest tasks. submit() also exists for stragglers; it appends to the
-// least-loaded deque.
+// largest tasks.
 class WorkStealingPool {
  public:
   explicit WorkStealingPool(std::size_t threads);
@@ -76,10 +74,7 @@ class WorkStealingPool {
   // workers. One lock acquisition per worker, not per task.
   void seed(std::vector<std::function<void()>> tasks);
 
-  // Enqueues one task on the currently shallowest deque.
-  void submit(std::function<void()> task);
-
-  // Blocks until every seeded/submitted task has finished executing.
+  // Blocks until every seeded task has finished executing.
   void wait_idle();
 
   // wait_idle() with a timeout: true if the pool went idle, false if the
@@ -94,12 +89,6 @@ class WorkStealingPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  // Optional queue-wait instrumentation: when set, the pool observes
-  // (execution start - enqueue) in nanoseconds for every task into `h`.
-  // This keeps queue wait out of the caller's per-task stage spans — the
-  // span clock starts when the task runs, and the wait is accounted here.
-  void set_queue_wait_histogram(obs::Histogram h) { queue_wait_ns_ = h; }
-
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t executed = 0;
@@ -111,10 +100,7 @@ class WorkStealingPool {
   Stats stats() const;
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;
-  };
+  using Task = std::function<void()>;
 
   // One deque + its lock, cache-line separated so a worker popping its own
   // deque never false-shares with a neighbour being stolen from.
@@ -132,7 +118,6 @@ class WorkStealingPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Heartbeat> heartbeats_;          // one per worker, fixed size
   std::vector<std::uint64_t> stall_reported_;  // scanner-owned (see scan_stalled)
-  obs::Histogram queue_wait_ns_;
 
   std::mutex idle_mu_;
   std::condition_variable cv_work_;  // new tasks seeded, or stop requested

@@ -1,11 +1,15 @@
-// Crash/resume durability for checkpointed streaming runs (DESIGN.md §14):
+// The checkpoint as the learner's durable result store (DESIGN.md §14):
 //
 //   * kill-at-every-boundary — a run that dies on any batch commit resumes
 //     from the WAL and produces a byte-identical final model;
+//   * per-suffix reuse — a new snapshot of the world relearns only the
+//     suffixes that changed, and another world under the same key reuses
+//     nothing;
 //   * torn tail — bytes past the last committed manifest state are
 //     truncated on open, not treated as corruption;
-//   * corrupt manifest / signature mismatch — the whole checkpoint is
-//     discarded and the run starts fresh (never trusts a half-valid WAL);
+//   * corrupt manifest / key mismatch (config or dictionary content) — the
+//     whole store is discarded and the run starts empty (never trusts a
+//     half-valid WAL);
 //   * counters — committed/resumed/discarded surface in the registry.
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,9 +27,12 @@
 #include "core/hoiho.h"
 #include "core/nc_io.h"
 #include "core/ncb.h"
+#include "geo/dictionary_io.h"
 #include "obs/metrics.h"
 #include "sim/streaming.h"
+#include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/strings.h"
 
 namespace hoiho::core {
 namespace {
@@ -80,15 +88,19 @@ struct StreamRun {
   obs::Snapshot snap;
 };
 
-StreamRun run_with_checkpoint(const std::string& dir) {
-  sim::StreamingWorld world(geo::builtin_dictionary(), small_config());
+// Streams `wc` (rendered against the built-in dictionary) through a
+// learner on `dict`, checkpointed under `dir` unless it is empty.
+StreamRun run_with_checkpoint(const std::string& dir,
+                              const sim::StreamingWorldConfig& wc = small_config(),
+                              const geo::GeoDictionary& dict = geo::builtin_dictionary()) {
+  sim::StreamingWorld world(geo::builtin_dictionary(), wc);
   HoihoConfig hc;
   hc.threads = 1;
   hc.checkpoint_dir = dir;
   obs::Registry registry;
   hc.registry = &registry;
   StreamRun run;
-  run.result = Hoiho(geo::builtin_dictionary(), hc).run_stream(world);
+  run.result = Hoiho(dict, hc).run_stream(world);
   run.snap = registry.snapshot();
   return run;
 }
@@ -221,8 +233,8 @@ TEST(Checkpoint, ConfigChangeInvalidatesTheCheckpoint) {
   const std::string dir = fresh_dir("ckpt_sig");
   run_with_checkpoint(dir);
 
-  // Same directory, different learning config: the signature differs, so
-  // resuming would splice results from another run — discard instead.
+  // Same directory, different learning config: the key differs, so reuse
+  // would splice results from another run — discard instead.
   sim::StreamingWorld world(geo::builtin_dictionary(), small_config());
   HoihoConfig hc;
   hc.threads = 1;
@@ -236,22 +248,93 @@ TEST(Checkpoint, ConfigChangeInvalidatesTheCheckpoint) {
   EXPECT_EQ(snap.value("checkpoint_batches_resumed"), 0u);
 }
 
-TEST(Checkpoint, WorldChangeInvalidatesTheCheckpoint) {
+TEST(Checkpoint, AnotherWorldReusesNothing) {
   const std::string dir = fresh_dir("ckpt_world");
   run_with_checkpoint(dir);
 
+  // Seed 78 draws the same VP set as seed 77 (make_vps depends only on the
+  // dictionary and the VP count), so seed 77's store stays under the same
+  // key. Reuse goes by suffix content, so nothing of it may be spliced in.
   sim::StreamingWorldConfig wc = small_config();
-  wc.seed = 78;  // a different stream must not resume another stream's WAL
-  sim::StreamingWorld world(geo::builtin_dictionary(), wc);
-  HoihoConfig hc;
-  hc.threads = 1;
-  hc.checkpoint_dir = dir;
-  obs::Registry registry;
-  hc.registry = &registry;
-  Hoiho(geo::builtin_dictionary(), hc).run_stream(world);
-  const obs::Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value("checkpoint_discarded"), 1u);
-  EXPECT_EQ(snap.value("checkpoint_batches_resumed"), 0u);
+  wc.seed = 78;
+  const StreamRun other = run_with_checkpoint(dir, wc);
+  const StreamRun plain = run_with_checkpoint("", wc);
+  EXPECT_EQ(other.snap.value("checkpoint_discarded"), 0u);
+  EXPECT_EQ(other.snap.value("delta_suffixes_reused"), 0u);
+  EXPECT_EQ(other.snap.value("pipeline_suffixes"), plain.snap.value("pipeline_suffixes"));
+  EXPECT_EQ(model_bytes(other.result), model_bytes(plain.result));
+  EXPECT_EQ(compact_dump(other.result), compact_dump(plain.result));
+}
+
+TEST(Checkpoint, NewSnapshotReusesUnchangedSuffixes) {
+  // The next snapshot of the same world (the paper learns consecutive
+  // ITDKs) changes only its churned suffixes: learned against the first
+  // snapshot's store, it relearns those and reuses every other suffix.
+  const std::string dir = fresh_dir("ckpt_snapshot");
+  run_with_checkpoint(dir);
+
+  sim::StreamingWorldConfig wc = small_config();
+  wc.churn_seed = 4242;
+  wc.churn_frac = 0.2;
+  const std::size_t churned =
+      sim::StreamingWorld(geo::builtin_dictionary(), wc).churned_suffixes().size();
+  const StreamRun next = run_with_checkpoint(dir, wc);
+  const StreamRun plain = run_with_checkpoint("", wc);
+  const std::uint64_t learned = next.snap.value("pipeline_suffixes");
+  EXPECT_EQ(next.snap.value("checkpoint_discarded"), 0u);
+  EXPECT_GT(learned, 0u);
+  EXPECT_LE(learned, churned);
+  EXPECT_EQ(learned + next.snap.value("delta_suffixes_reused"),
+            plain.snap.value("pipeline_suffixes"));
+  EXPECT_EQ(model_bytes(next.result), model_bytes(plain.result));
+  EXPECT_EQ(compact_dump(next.result), compact_dump(plain.result));
+}
+
+TEST(Checkpoint, DictionaryEditDiscardsTheStore) {
+  // An edit that keeps the dictionary's size: every latitude moved by 10°.
+  std::ostringstream saved;
+  geo::save_dictionary(saved, geo::builtin_dictionary());
+  std::istringstream lines(saved.str());
+  std::ostringstream moved_csv;
+  for (std::string line; std::getline(lines, line);) {
+    util::CsvRow row = util::parse_csv_line(line);
+    if (row.size() < 5 || row[0] != "L") {
+      moved_csv << line << "\n";
+      continue;
+    }
+    const double lat = std::stod(row[4]);
+    row[4] = util::fmt_double(lat > 0 ? lat - 10 : lat + 10, 4);
+    util::write_csv_row(moved_csv, row);
+  }
+  const auto load_moved = [&] {
+    std::istringstream in(moved_csv.str());
+    return geo::load_dictionary(in);
+  };
+  const std::optional<geo::GeoDictionary> moved = load_moved();
+  ASSERT_TRUE(moved.has_value());
+  ASSERT_EQ(moved->size(), geo::builtin_dictionary().size());
+
+  const std::string dir = fresh_dir("ckpt_dict");
+  const StreamRun original = run_with_checkpoint(dir);
+  const StreamRun plain = run_with_checkpoint("", small_config(), *moved);
+  ASSERT_NE(compact_dump(plain.result), compact_dump(original.result))
+      << "the edit must change what is learned";
+
+  // Results learned against the original coordinates are never reused.
+  const StreamRun edited = run_with_checkpoint(dir, small_config(), *moved);
+  EXPECT_EQ(edited.snap.value("checkpoint_discarded"), 1u);
+  EXPECT_EQ(edited.snap.value("checkpoint_batches_resumed"), 0u);
+  EXPECT_EQ(model_bytes(edited.result), model_bytes(plain.result));
+  EXPECT_EQ(compact_dump(edited.result), compact_dump(plain.result));
+
+  // The key is the dictionary's content, not its identity: the same CSV
+  // loaded again reuses everything.
+  const std::optional<geo::GeoDictionary> again = load_moved();
+  ASSERT_TRUE(again.has_value());
+  const StreamRun reloaded = run_with_checkpoint(dir, small_config(), *again);
+  EXPECT_EQ(reloaded.snap.value("checkpoint_discarded"), 0u);
+  EXPECT_EQ(reloaded.snap.value("pipeline_suffixes"), 0u);
+  EXPECT_EQ(compact_dump(reloaded.result), compact_dump(plain.result));
 }
 
 TEST(Checkpoint, ParallelRunsCheckpointIdenticallyToSequential) {
@@ -267,8 +350,8 @@ TEST(Checkpoint, ParallelRunsCheckpointIdenticallyToSequential) {
   EXPECT_EQ(model_bytes(par), model_bytes(seq.result));
   EXPECT_EQ(compact_dump(par), compact_dump(seq.result));
 
-  // And the parallel run's WAL resumes under a sequential config: batch
-  // contents are thread-count invariant, so the signatures must agree.
+  // And the parallel run's WAL resumes under a sequential config: results
+  // are thread-count invariant, so the store keys must agree.
   const StreamRun resumed = run_with_checkpoint(hc.checkpoint_dir);
   EXPECT_EQ(resumed.snap.value("checkpoint_discarded"), 0u);
   EXPECT_EQ(resumed.snap.value("checkpoint_batches_resumed"),

@@ -406,6 +406,33 @@ TEST(Delta, FingerprintsAreContentDerived) {
     EXPECT_NE(fa, 0u);  // 0 is the "unknown" sentinel, never produced
     EXPECT_EQ(fa, fb);  // same content, same fingerprint
   }
+
+  // Which hostname sits on which router is content too. Swapping a
+  // suffix's first two routers under every hostname after both have
+  // appeared keeps the routers' first-appearance order and their RTT rows,
+  // yet can change what is learned, so it must change the fingerprint.
+  std::size_t reassigned = 0;
+  for (const topo::SuffixGroup& g : batch_a->groups) {
+    topo::SuffixGroup moved = g;
+    std::vector<topo::RouterId> first_two;
+    bool changed = false;
+    for (topo::HostnameRef& ref : moved.hostnames) {
+      if (first_two.size() < 2) {
+        if (std::find(first_two.begin(), first_two.end(), ref.router) == first_two.end())
+          first_two.push_back(ref.router);
+        continue;
+      }
+      if (ref.router == first_two[0] || ref.router == first_two[1]) {
+        ref.router = ref.router == first_two[0] ? first_two[1] : first_two[0];
+        changed = true;
+      }
+    }
+    if (!changed) continue;
+    ++reassigned;
+    EXPECT_NE(suffix_fingerprint(moved, batch_a->pings), suffix_fingerprint(g, batch_a->pings))
+        << g.suffix;
+  }
+  EXPECT_GT(reassigned, 0u);
 }
 
 }  // namespace

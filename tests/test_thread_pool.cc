@@ -47,16 +47,6 @@ TEST(WorkStealingPool, ReusableAcrossBatches) {
   }
 }
 
-TEST(WorkStealingPool, SubmitLandsOnShallowestDeque) {
-  std::atomic<int> count{0};
-  WorkStealingPool pool(3);
-  for (int i = 0; i < 200; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_EQ(pool.stats().executed, 200u);
-}
-
 TEST(WorkStealingPool, StealsUnderSkew) {
   // One worker's deque gets a giant task followed by many small ones (the
   // Zipf head); the other workers must steal the small tasks rather than
