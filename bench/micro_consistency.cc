@@ -74,18 +74,16 @@ BENCHMARK(BM_ConsistencyUncached);
 // prefilter's ability to settle misses with one haversine.
 void BM_ConsistencyCacheCold(benchmark::State& state) {
   const Workload& w = workload();
-  const bool prefilter = state.range(0) != 0;
   for (auto _ : state) {
-    measure::ConsistencyCache cache(w.meas, w.coords.size(), 0.0, prefilter);
+    measure::ConsistencyCache cache(w.meas, w.coords.size(), 0.0);
     const std::size_t ok = w.pass([&](topo::RouterId r, geo::LocationId id) {
       return cache.consistent(r, id, w.coords[id]);
     });
     benchmark::DoNotOptimize(ok);
   }
   state.SetItemsProcessed(state.iterations() * w.pass_queries());
-  state.SetLabel(prefilter ? "prefilter" : "no_prefilter");
 }
-BENCHMARK(BM_ConsistencyCacheCold)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConsistencyCacheCold);
 
 // Warm cache: the steady state of stage-3 evaluation, where the same
 // (router, location) pairs are re-tested for every candidate NC.

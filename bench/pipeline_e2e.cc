@@ -19,9 +19,9 @@
 //   L   1000-suffix / ~100k-hostname streaming world (the ISSUE target)
 //   XL  10000-suffix / ~1M-hostname streaming world  (manual / nightly only)
 //
-// M/L/XL stream through Hoiho::run_stream (work-stealing pool, bounded RSS);
-// their JSON lands in BENCH_PIPELINE_<tier>.json and includes the peak-RSS
-// gauge and steal counters. Note VmHWM is a process-wide high-water mark:
+// M/L/XL stream through Hoiho::run_stream (the learner's worker pool, bounded
+// RSS); their JSON lands in BENCH_PIPELINE_<tier>.json and includes the
+// peak-RSS gauge. Note VmHWM is a process-wide high-water mark:
 // within one bench process later runs inherit earlier runs' peak, so the
 // per-run value is an upper bound, and the ceiling CI asserts covers the
 // whole bench.
@@ -60,7 +60,7 @@ struct RunResult {
   std::size_t threads = 1;
   double wall_ms = 0;
   double hostnames_per_sec = 0;
-  obs::Snapshot snap;  // rep-0 registry snapshot (counters for one full run)
+  obs::Snapshot snap;  // registry snapshot of the rep whose wall time is reported
   std::size_t suffixes = 0, usable = 0;
 
   std::uint64_t cache_hits() const { return snap.value("consistency_cache_hits"); }
@@ -80,11 +80,12 @@ struct RunResult {
   }
 };
 
-// One timed rep of one configuration; folds the wall time (min) and, on the
-// first rep, the registry snapshot into `out`. Reps are interleaved across
-// configurations by the caller — timing each label's reps back-to-back lets
-// slow process drift (allocator state, thermal/cgroup throttling) bias the
-// later labels, which on a small corpus is larger than the effect measured.
+// One timed rep of one configuration; keeps the fastest rep's wall time and,
+// from that same rep, the registry snapshot and result counts in `out`.
+// Reps are interleaved across configurations by the caller — timing each
+// label's reps back-to-back lets slow process drift (allocator state,
+// thermal/cgroup throttling) bias the later labels, which on a small corpus
+// is larger than the effect measured.
 void time_one_rep(RunResult& out, const sim::World& world, const measure::Measurements& pings,
                   std::size_t hostnames) {
   core::HoihoConfig config;
@@ -97,10 +98,11 @@ void time_one_rep(RunResult& out, const sim::World& world, const measure::Measur
   const core::HoihoResult result = bench::run_hoiho(world, pings, config);
   const auto t1 = std::chrono::steady_clock::now();
   const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (out.wall_ms == 0 || ms < out.wall_ms) out.wall_ms = ms;
-  if (out.snap.entries.empty()) {
+  if (out.wall_ms == 0 || ms < out.wall_ms) {
+    out.wall_ms = ms;
     out.snap = registry.snapshot();
     out.suffixes = result.suffixes.size();
+    out.usable = 0;
     for (const core::SuffixResult& sr : result.suffixes)
       if (sr.usable()) ++out.usable;
   }
@@ -137,10 +139,11 @@ RunResult time_stream_run(const std::string& label, const sim::StreamingWorldCon
         core::Hoiho(geo::builtin_dictionary(), config).run_stream(world);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < out.wall_ms) out.wall_ms = ms;
-    if (rep == 0) {
+    if (ms < out.wall_ms) {
+      out.wall_ms = ms;
       out.snap = registry.snapshot();
       out.suffixes = result.suffixes.size();
+      out.usable = 0;
       for (const core::SuffixResult& sr : result.suffixes)
         if (sr.usable()) ++out.usable;
       hostnames = world.report().records;
@@ -362,14 +365,12 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"run", "threads", "wall ms", "hostnames/s", "batches", "committed",
-                  "stolen", "steal fails", "peak RSS MB", "usable NCs"});
+                  "peak RSS MB", "usable NCs"});
   for (const RunResult& r : runs) {
     rows.push_back(
         {r.label, std::to_string(r.threads), fmt3(r.wall_ms), fmt3(r.hostnames_per_sec),
          std::to_string(r.snap.value("pipeline_stream_batches")),
          std::to_string(r.snap.value("checkpoint_batches_committed")),
-         std::to_string(r.snap.value("pool_tasks_stolen")),
-         std::to_string(r.snap.value("pool_steal_failures")),
          fmt3(static_cast<double>(r.gauge("pipeline_peak_rss_bytes")) / (1024.0 * 1024.0)),
          std::to_string(r.usable) + "/" + std::to_string(r.suffixes)});
   }
@@ -422,8 +423,6 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
         << ", \"stream_batches\": " << r.snap.value("pipeline_stream_batches")
         << ", \"checkpoint_batches_committed\": "
         << r.snap.value("checkpoint_batches_committed")
-        << ", \"tasks_stolen\": " << r.snap.value("pool_tasks_stolen")
-        << ", \"steal_failures\": " << r.snap.value("pool_steal_failures")
         << ", \"peak_rss_bytes\": " << r.gauge("pipeline_peak_rss_bytes")
         << ", \"cache_hit_rate\": " << fmt3(r.hit_rate())
         << ", \"suffixes\": " << r.suffixes << ", \"usable\": " << r.usable

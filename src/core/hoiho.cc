@@ -37,21 +37,10 @@ std::size_t HoihoResult::count(NcClass c) const {
   return n;
 }
 
-std::string RunReport::to_json(std::string_view indent) const {
-  const std::string pad(indent);
-  std::string out = "{\n";
-  out += pad + "  \"metrics\": " + metrics.to_json(pad + "  ") + ",\n";
-  out += pad + "  \"spans\": " + obs::to_json(spans, pad + "  ") + ",\n";
-  out += pad + "  \"dropped_spans\": " + std::to_string(dropped_spans) + "\n";
-  out += pad + "}";
-  return out;
-}
-
 // Registry handles for the pipeline counters, resolved once per run so the
 // per-suffix hot path only pays relaxed adds. All handles live in the
-// registry passed to run_instrumented and stay valid for its lifetime.
+// config's registry and stay valid for its lifetime.
 struct Hoiho::PipelineMetrics {
-  obs::Registry* registry;  // for per-worker gauges resolved at fold time
   obs::Counter suffixes, suffixes_skipped, suffixes_usable;
   obs::Counter hostnames, tagged_hostnames;
   obs::Counter candidates_generated, ncs_built, learned_hints;
@@ -62,20 +51,19 @@ struct Hoiho::PipelineMetrics {
   obs::Counter cache_hits, cache_misses, cache_prefilter_rejects, cache_bypasses;
   obs::Counter rx_subjects, rx_candidates, rx_programs_run, rx_hits, rx_programs_compiled;
   obs::Counter budget_exhausted;
-  obs::Counter pool_tasks_stolen, pool_steal_failures, pool_worker_stalled;
+  obs::Counter pool_worker_stalled;
   obs::Counter stream_batches;
   obs::Counter checkpoint_batches_committed, checkpoint_batches_resumed;
   obs::Counter checkpoint_results_resumed, checkpoint_commit_failures, checkpoint_discarded;
   obs::Counter model_save_failures;
   obs::Counter delta_dirty, delta_reused, delta_added, delta_removed, delta_relearn_us;
   obs::Gauge grid_cells;
-  obs::Gauge pool_tasks_submitted, pool_tasks_executed;
+  obs::Gauge pool_tasks_executed;
   obs::Gauge peak_rss_bytes;
   obs::Histogram suffix_ns;
 
   explicit PipelineMetrics(obs::Registry& r)
-      : registry(&r),
-        suffixes(r.counter("pipeline_suffixes")),
+      : suffixes(r.counter("pipeline_suffixes")),
         suffixes_skipped(r.counter("pipeline_suffixes_skipped")),
         suffixes_usable(r.counter("pipeline_suffixes_usable")),
         hostnames(r.counter("pipeline_hostnames")),
@@ -97,8 +85,6 @@ struct Hoiho::PipelineMetrics {
         rx_hits(r.counter("rx_set_hits")),
         rx_programs_compiled(r.counter("rx_programs_compiled")),
         budget_exhausted(r.counter("pipeline_budget_exhausted")),
-        pool_tasks_stolen(r.counter("pool_tasks_stolen")),
-        pool_steal_failures(r.counter("pool_steal_failures")),
         pool_worker_stalled(r.counter("pool_worker_stalled")),
         stream_batches(r.counter("pipeline_stream_batches")),
         checkpoint_batches_committed(r.counter("checkpoint_batches_committed")),
@@ -113,30 +99,9 @@ struct Hoiho::PipelineMetrics {
         delta_removed(r.counter("delta_suffixes_removed")),
         delta_relearn_us(r.counter("delta_relearn_us")),
         grid_cells(r.gauge("pipeline_expected_rtt_grid_cells")),
-        pool_tasks_submitted(r.gauge("pipeline_pool_tasks_submitted")),
         pool_tasks_executed(r.gauge("pipeline_pool_tasks_executed")),
         peak_rss_bytes(r.gauge("pipeline_peak_rss_bytes")),
         suffix_ns(r.histogram("pipeline_suffix_ns")) {}
-
-  // Folds a pool's work since `prev` (its stats at the previous fold) into
-  // the registry: the aggregate counters plus a per-worker depth/executed
-  // gauge pair, labelled by worker index. The labelled gauges replace the
-  // old single pipeline_pool_max_queue_depth gauge — a shared high-water
-  // mark hid which deque actually backed up.
-  void fold_pool(const util::WorkStealingPool::Stats& ps,
-                 const util::WorkStealingPool::Stats& prev) {
-    pool_tasks_submitted.add(static_cast<std::int64_t>(ps.submitted - prev.submitted));
-    pool_tasks_executed.add(static_cast<std::int64_t>(ps.executed - prev.executed));
-    pool_tasks_stolen.add(ps.tasks_stolen - prev.tasks_stolen);
-    pool_steal_failures.add(ps.steal_failures - prev.steal_failures);
-    for (std::size_t w = 0; w < ps.workers.size(); ++w) {
-      const std::string label = "{worker=\"" + std::to_string(w) + "\"}";
-      obs::Gauge depth = registry->gauge("pipeline_pool_max_queue_depth" + label);
-      depth.set(std::max(depth.load(), static_cast<std::int64_t>(ps.workers[w].max_queue_depth)));
-      registry->gauge("pipeline_pool_worker_executed" + label)
-          .add(static_cast<std::int64_t>(ps.workers[w].executed - prev.workers[w].executed));
-    }
-  }
 
   void note_peak_rss() {
     peak_rss_bytes.set(
@@ -144,12 +109,10 @@ struct Hoiho::PipelineMetrics {
   }
 };
 
-// The learner's pool for one run. learn_groups starts it on first use and
-// folds its stats into the registry after every fan-out; run_stream keeps
-// one across all its batches.
+// The learner's pool for one run. learn_groups starts it on first use;
+// run_stream keeps one across all its batches.
 struct Hoiho::Workers {
-  std::optional<util::WorkStealingPool> pool;
-  util::WorkStealingPool::Stats folded;  // pool stats already in the registry
+  std::optional<util::WorkerPool> pool;
 };
 
 namespace {
@@ -166,22 +129,6 @@ constexpr std::size_t kMaxGridCells = 4u << 20;
 void compact(SuffixResult& sr) {
   std::vector<TaggedHostname>().swap(sr.tagged);
   std::vector<HostnameEval>().swap(sr.eval.per_hostname);
-}
-
-// A run plus its observability report, on the config's registry/tracer or,
-// when those are null, on private ones scoped to this call.
-template <typename Run>
-RunReport report_run(const HoihoConfig& config, Run run) {
-  std::optional<obs::Registry> own_registry;
-  std::optional<obs::Tracer> own_tracer;
-  obs::Registry* registry = config.registry != nullptr ? config.registry : &own_registry.emplace();
-  obs::Tracer* tracer = config.tracer != nullptr ? config.tracer : &own_tracer.emplace();
-  RunReport report;
-  report.result = run(registry, tracer);
-  report.metrics = registry->snapshot();
-  report.spans = tracer->spans();
-  report.dropped_spans = tracer->dropped();
-  return report;
 }
 
 }  // namespace
@@ -227,8 +174,7 @@ SuffixResult Hoiho::run_suffix_instrumented(const topo::SuffixGroup& group,
   // cache. The expected-RTT grid behind it IS shared across workers
   // (immutable once built).
   const std::shared_ptr<const measure::ExpectedRttGrid> grid = expected_rtt_grid(meas);
-  measure::ConsistencyCache cache(meas, dict_.size(), config_.apparent.slack_ms,
-                                  /*prefilter=*/true, grid.get());
+  measure::ConsistencyCache cache(meas, dict_.size(), config_.apparent.slack_ms, grid.get());
   SuffixResult result = run_suffix_impl(group, meas, cache, pm, tracer);
 
   if (pm != nullptr) {
@@ -449,10 +395,7 @@ Hoiho::Learned Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
     std::size_t threads =
         std::min(util::resolve_threads(config_.threads), util::resolve_threads(0));
     if (!while_learning) threads = std::min(threads, groups.size());
-    if (threads > 1) {
-      workers.pool.emplace(threads);
-      workers.folded = workers.pool->stats();
-    }
+    if (threads > 1) workers.pool.emplace(threads);
   }
   if (!workers.pool) {
     for (std::size_t i = 0; i < groups.size(); ++i) fill(i);
@@ -465,11 +408,11 @@ Hoiho::Learned Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
   // slot, so results land by group index and match the sequential path.
   //
   // Suffix sizes are heavily skewed (one consumer ISP next to dozens of
-  // small operators), so the groups are seeded cost-descending into a
-  // work-stealing pool: every worker starts on one of the k largest
-  // suffixes, and whoever drains first steals the smallest remaining task
-  // from a neighbour instead of idling.
-  util::WorkStealingPool& pool = *workers.pool;
+  // small operators), so the groups are seeded cost-descending into the
+  // pool's one FIFO: whichever worker frees up first takes the largest
+  // suffix left, and the small tail fills in behind the head.
+  util::WorkerPool& pool = *workers.pool;
+  const std::uint64_t executed_before = pool.executed();
   std::vector<std::size_t> order(groups.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -492,20 +435,16 @@ Hoiho::Learned Hoiho::learn_groups(std::span<const topo::SuffixGroup> groups,
   } else {
     pool.wait_idle();
   }
-  if (pm != nullptr) {
-    util::WorkStealingPool::Stats now = pool.stats();
-    pm->fold_pool(now, workers.folded);
-    workers.folded = std::move(now);
-  }
+  if (pm != nullptr)
+    pm->pool_tasks_executed.add(static_cast<std::int64_t>(pool.executed() - executed_before));
   return out;
 }
 
-HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
-                                    const measure::Measurements& meas, obs::Registry* registry,
-                                    obs::Tracer* tracer) const {
+HoihoResult Hoiho::run(const topo::Topology& topo, const measure::Measurements& meas) const {
   std::optional<PipelineMetrics> metrics;
-  if (registry != nullptr) metrics.emplace(*registry);
+  if (config_.registry != nullptr) metrics.emplace(*config_.registry);
   PipelineMetrics* pm = metrics ? &*metrics : nullptr;
+  obs::Tracer* tracer = config_.tracer;
 
   obs::Span run_span(tracer, "run");
   const std::vector<topo::SuffixGroup> groups = topo.group_by_suffix();
@@ -520,11 +459,11 @@ HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
   return result;
 }
 
-HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Registry* registry,
-                                           obs::Tracer* tracer) const {
+HoihoResult Hoiho::run_stream(io::SuffixStream& stream) const {
   std::optional<PipelineMetrics> metrics;
-  if (registry != nullptr) metrics.emplace(*registry);
+  if (config_.registry != nullptr) metrics.emplace(*config_.registry);
   PipelineMetrics* pm = metrics ? &*metrics : nullptr;
+  obs::Tracer* tracer = config_.tracer;
 
   obs::Span run_span(tracer, "run_stream");
   HoihoResult result;
@@ -618,7 +557,7 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     }
   }
 
-  if (registry != nullptr) stream.report().publish(*registry, "stream");
+  if (config_.registry != nullptr) stream.report().publish(*config_.registry, "stream");
   return result;
 }
 
@@ -730,27 +669,6 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
     pm->note_peak_rss();
   }
   return report;
-}
-
-HoihoResult Hoiho::run(const topo::Topology& topo, const measure::Measurements& meas) const {
-  return run_instrumented(topo, meas, config_.registry, config_.tracer);
-}
-
-HoihoResult Hoiho::run_stream(io::SuffixStream& stream) const {
-  return run_stream_instrumented(stream, config_.registry, config_.tracer);
-}
-
-RunReport Hoiho::run_report(const topo::Topology& topo,
-                            const measure::Measurements& meas) const {
-  return report_run(config_, [&](obs::Registry* registry, obs::Tracer* tracer) {
-    return run_instrumented(topo, meas, registry, tracer);
-  });
-}
-
-RunReport Hoiho::run_stream_report(io::SuffixStream& stream) const {
-  return report_run(config_, [&](obs::Registry* registry, obs::Tracer* tracer) {
-    return run_stream_instrumented(stream, registry, tracer);
-  });
 }
 
 }  // namespace hoiho::core

@@ -86,10 +86,8 @@ struct HoihoConfig {
   // Observability (DESIGN.md §11). A non-null registry/tracer receives the
   // pipeline's counters, cache hit rates, and stage spans — pass a shared
   // registry to land learner metrics in the same snapshot as serving or
-  // ingestion metrics. Null (the default) means run() carries no
-  // instrumentation cost beyond untaken null checks; run_report() supplies
-  // private instances when these are null, so callers wanting a report
-  // don't have to manage them.
+  // ingestion metrics. Null (the default) means a run carries no
+  // instrumentation cost beyond untaken null checks.
   obs::Registry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -126,22 +124,6 @@ struct HoihoResult {
   std::size_t count(NcClass c) const;
 };
 
-// The full account of one run: per-suffix outcomes plus everything the
-// observability layer captured while producing them — pipeline counters,
-// cache hit rates, set-matching work, and per-stage spans. This is the one
-// struct consumers (benches, the daemon's demo path, tests) read instead of
-// aggregating SuffixResult stat fields by hand.
-struct RunReport {
-  HoihoResult result;
-  obs::Snapshot metrics;               // registry snapshot taken after the run
-  std::vector<obs::SpanRecord> spans;  // stage spans, oldest first
-  std::uint64_t dropped_spans = 0;     // ring overflow (0 unless the run is huge)
-
-  // {"metrics": {...}, "spans": [...], "dropped_spans": N} — the metrics
-  // half is obs::Snapshot::to_json, so one schema serves every consumer.
-  std::string to_json(std::string_view indent = "") const;
-};
-
 // Incremental-relearning types (core/delta.h).
 struct WorldDelta;
 struct PriorRun;
@@ -152,23 +134,14 @@ class Hoiho {
   explicit Hoiho(const geo::GeoDictionary& dict, HoihoConfig config = {})
       : dict_(dict), config_(config) {}
 
-  // Runs the full pipeline over every suffix group in `topo`.
-  //
-  // Kept as the compact form of run_report() for callers that only want the
-  // results: instrumentation still lands in config.registry / config.tracer
-  // when those are set, but nothing is snapshotted. Per-suffix stage times
-  // and cache counters are reported exclusively through the registry
-  // (pipeline_stage_us, consistency_cache_*) — RunReport is the one
-  // reporting API.
+  // Runs the full pipeline over every suffix group in `topo`. Per-suffix
+  // stage times and cache counters land in config.registry
+  // (pipeline_stage_us, consistency_cache_*) and stage spans in
+  // config.tracer, when those are set.
   HoihoResult run(const topo::Topology& topo, const measure::Measurements& meas) const;
 
-  // run() plus the observability report. Uses config.registry/tracer when
-  // set (snapshotting whatever else the shared registry holds), otherwise
-  // instruments into private instances scoped to this call.
-  RunReport run_report(const topo::Topology& topo, const measure::Measurements& meas) const;
-
   // Streaming run (DESIGN.md §12): pulls suffix batches from `stream`,
-  // learns each batch's suffixes (work-stealing across workers, exactly
+  // learns each batch's suffixes (largest first across workers, exactly
   // like run()), frees the batch, and pulls the next — peak memory is one
   // or two batches, never the world. While the workers chew on batch k the
   // main thread renders batch k+1 (double buffering), so generation and
@@ -183,21 +156,18 @@ class Hoiho {
   //
   // With config.checkpoint_dir set, the checkpoint's stored results are the
   // reuse source of learn_groups and each batch commits the results it
-  // learned (DESIGN.md §14).
+  // learned (DESIGN.md §14). With config.registry set, the stream's ingest
+  // accounting is published there too (ingest_* counters, source="stream").
   HoihoResult run_stream(io::SuffixStream& stream) const;
-
-  // run_stream() plus the observability report; also publishes the
-  // stream's ingest accounting (ingest_* counters, source="stream").
-  RunReport run_stream_report(io::SuffixStream& stream) const;
 
   // Incremental relearning (DESIGN.md §16): runs `world` — the changed
   // suffixes rendered as one self-contained batch, plus removals — through
   // learn_groups with `prior` as the reuse source, so a group whose
   // fingerprint matches its prior result reuses it verbatim and the dirty
-  // rest are relearned (same work-stealing pool and cost-descending seeding
-  // as run()). The report carries the merged result set — equal to a
-  // from-scratch run over the churned world, modulo streaming compaction —
-  // and a ModelDelta against prior.generation. Fails (report.error) without
+  // rest are relearned (same pool and cost-descending seeding as run()).
+  // The report carries the merged result set — equal to a from-scratch run
+  // over the churned world, modulo streaming compaction — and a ModelDelta
+  // against prior.generation. Fails (report.error) without
   // running anything when the prior's learner-config or VP-set signature
   // doesn't match; a changed campaign invalidates every suffix, so the
   // caller must fall back to a full run.
@@ -248,13 +218,6 @@ class Hoiho {
                        const measure::Measurements& meas, PipelineMetrics* pm,
                        obs::Tracer* tracer, Workers& workers, const PriorRun* reuse = nullptr,
                        const std::function<void()>& while_learning = {}) const;
-
-  // run() with explicit instrumentation sinks (either may be null).
-  HoihoResult run_instrumented(const topo::Topology& topo, const measure::Measurements& meas,
-                               obs::Registry* registry, obs::Tracer* tracer) const;
-
-  HoihoResult run_stream_instrumented(io::SuffixStream& stream, obs::Registry* registry,
-                                      obs::Tracer* tracer) const;
 
   SuffixResult run_suffix_instrumented(const topo::SuffixGroup& group,
                                        const measure::Measurements& meas, PipelineMetrics* pm,

@@ -20,10 +20,9 @@ ExpectedRttGrid::ExpectedRttGrid(std::span<const geo::Coordinate> coords,
 }
 
 ConsistencyCache::ConsistencyCache(const Measurements& meas, std::size_t location_count,
-                                   double slack_ms, bool prefilter, const ExpectedRttGrid* grid)
+                                   double slack_ms, const ExpectedRttGrid* grid)
     : meas_(meas),
       slack_ms_(slack_ms),
-      prefilter_(prefilter),
       location_count_(location_count),
       grid_(grid && grid->location_count() == location_count &&
                     grid->vp_count() == meas.vps.size()
@@ -90,9 +89,8 @@ bool ConsistencyCache::consistent(topo::RouterId r, geo::LocationId loc,
 
   ++stats_.misses;
   bool verdict;
-  const RouterBound& b = prefilter_ ? bound(r) : bounds_[r];
-  if (prefilter_ && b.constrained && coord.valid() &&
-      expected_rtt(loc, coord, b.vp) > b.budget_ms) {
+  const RouterBound& b = bound(r);
+  if (b.constrained && coord.valid() && expected_rtt(loc, coord, b.vp) > b.budget_ms) {
     // Same test rtt_consistent() would apply for the closest VP: reject on
     // one haversine instead of scanning every VP.
     verdict = false;

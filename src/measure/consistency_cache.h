@@ -12,8 +12,8 @@
 // smallest measured RTT bounds how far the router can be, so a candidate
 // farther than that is rejected with a single haversine instead of a full
 // scan. The prefilter evaluates exactly one term of rtt_consistent()'s
-// conjunction with identical arithmetic, so verdicts are bit-identical with
-// and without it.
+// conjunction with identical arithmetic, so verdicts are bit-identical to
+// the uncached scan's.
 //
 // A cache is valid for one RttMatrix + VP set + slack value; queries with a
 // different slack bypass the table and compute directly. Not thread-safe:
@@ -50,13 +50,12 @@ class ExpectedRttGrid {
 
 class ConsistencyCache {
  public:
-  // `location_count` is the dictionary size (LocationIds must be < it);
-  // `prefilter` disables the closest-VP radius test (for benchmarking).
+  // `location_count` is the dictionary size (LocationIds must be < it).
   // `grid`, if non-null, supplies precomputed expected RTTs (it must cover
   // the same locations and VPs and outlive the cache; a mismatched grid is
   // ignored); without one, expected RTTs are memoized lazily per location.
   ConsistencyCache(const Measurements& meas, std::size_t location_count, double slack_ms = 0.0,
-                   bool prefilter = true, const ExpectedRttGrid* grid = nullptr);
+                   const ExpectedRttGrid* grid = nullptr);
 
   // Memoized rtt_consistent(meas.pings, meas.vps, r, coord, slack_ms).
   // `coord` must be the coordinate of dictionary location `loc`; callers are
@@ -114,7 +113,6 @@ class ConsistencyCache {
 
   const Measurements& meas_;
   double slack_ms_;
-  bool prefilter_;
   std::size_t location_count_;
   const ExpectedRttGrid* grid_;
   std::vector<std::vector<std::uint8_t>> rows_;  // [router] -> packed 2-bit cells

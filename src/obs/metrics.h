@@ -157,7 +157,7 @@ struct Snapshot {
   bool has(std::string_view name) const { return find(name) != nullptr; }
 
   // {"counters": {...}, "gauges": {...}, "histograms": {...}} — the shared
-  // export format (RunReport, BENCH_PIPELINE.json, the obs tests).
+  // export format (the bench JSON records, the obs tests).
   std::string to_json(std::string_view indent = "") const;
 
   // Prometheus text exposition (the hoihod METRICS verb / --metrics-port).

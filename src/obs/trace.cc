@@ -8,37 +8,7 @@ namespace {
 
 thread_local std::uint32_t t_span_depth = 0;
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 }  // namespace
-
-std::string to_json(std::span<const SpanRecord> spans, std::string_view indent) {
-  const std::string pad(indent);
-  std::string out = "[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& s = spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += pad + "  {\"name\": ";
-    append_json_string(out, s.name);
-    out += ", \"detail\": ";
-    append_json_string(out, s.detail);
-    out += ", \"start_ns\": " + std::to_string(s.start_ns);
-    out += ", \"dur_ns\": " + std::to_string(s.dur_ns);
-    out += ", \"work\": " + std::to_string(s.work);
-    out += ", \"thread\": " + std::to_string(s.thread);
-    out += ", \"depth\": " + std::to_string(s.depth) + "}";
-  }
-  if (!spans.empty()) out += "\n" + pad;
-  out += "]";
-  return out;
-}
 
 std::uint64_t Tracer::now_ns() {
   return static_cast<std::uint64_t>(

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,9 +39,6 @@ struct SpanRecord {
   std::uint32_t thread = 0;
   std::uint32_t depth = 0;
 };
-
-// JSON array of span objects (shared by RunReport and the bench output).
-std::string to_json(std::span<const SpanRecord> spans, std::string_view indent = "");
 
 class Tracer {
  public:

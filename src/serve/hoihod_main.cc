@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +37,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -52,6 +52,7 @@
 #include "serve/server.h"
 #include "sim/probing.h"
 #include "util/failpoint.h"
+#include "util/strings.h"
 
 using namespace hoiho;
 
@@ -101,15 +102,6 @@ bool parse_integer(const char* flag, const char* text, long long lo, long long h
   if (ec == std::errc() && ptr == end && *out >= lo && *out <= hi) return true;
   std::fprintf(stderr, "hoihod: %s: '%s' is not an integer in [%lld, %lld]\n", flag, text, lo,
                hi);
-  return false;
-}
-
-// --rtt-slack-ms: a finite number of milliseconds, at least 0.
-bool parse_slack(const char* text, double* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  if (ec == std::errc() && ptr == end && std::isfinite(*out) && *out >= 0.0) return true;
-  std::fprintf(stderr, "hoihod: --rtt-slack-ms: '%s' is not a number >= 0\n", text);
   return false;
 }
 
@@ -250,7 +242,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--population") {
       ok = text(&population_path);
     } else if (arg == "--rtt-slack-ms") {
-      ok = i + 1 < argc && parse_slack(argv[++i], &rtt_slack_ms);
+      // A finite number of milliseconds, at least 0.
+      ok = i + 1 < argc;
+      if (ok) {
+        const std::optional<double> ms = util::parse_double(argv[++i]);
+        ok = ms && *ms >= 0.0;
+        if (ok) rtt_slack_ms = *ms;
+        else std::fprintf(stderr, "hoihod: --rtt-slack-ms: '%s' is not a number >= 0\n", argv[i]);
+      }
     } else if (arg == "--port-file") {
       ok = text(&port_file);
     } else if (arg == "--port") {

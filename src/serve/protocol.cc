@@ -1,7 +1,5 @@
 #include "serve/protocol.h"
 
-#include <charconv>
-
 #include "util/strings.h"
 
 namespace hoiho::serve {
@@ -23,19 +21,15 @@ bool verb_shaped(std::string_view head) {
   return letter;
 }
 
-bool parse_double(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-// "lat,lon" with both halves fully numeric and in range.
+// "lat,lon" with both halves finite decimals, the latitude in [-90, 90]
+// and the longitude in [-180, 180].
 bool parse_coordinate(std::string_view text, geo::Coordinate* out) {
   const std::size_t comma = text.find(',');
   if (comma == std::string_view::npos) return false;
-  if (!parse_double(text.substr(0, comma), &out->lat)) return false;
-  if (!parse_double(text.substr(comma + 1), &out->lon)) return false;
+  const auto lat = util::parse_double(text.substr(0, comma));
+  const auto lon = util::parse_double(text.substr(comma + 1));
+  if (!lat || !lon || *lon < -180.0 || *lon > 180.0) return false;
+  *out = geo::Coordinate{*lat, *lon};
   return out->valid();
 }
 

@@ -17,7 +17,7 @@
 //   * Zipf-skewed suffix sizes: suffix k gets ~1/(k+1)^zipf_s of the
 //     hostname mass (clamped), reproducing the ITDK's regime where a few
 //     consumer ISPs dwarf thousands of small operators — the skew that
-//     motivates work-stealing in Hoiho::run_stream.
+//     motivates largest-first seeding in Hoiho::run_stream.
 //   * Spatially-embedded footprints: operators deploy around a home site
 //     ("Evidence of spatial embedding", PAPERS.md) instead of sampling the
 //     whole globe.

@@ -1,14 +1,13 @@
 // The learner's worker pool, plus the pieces the serving loops share with it.
 //
-//   * WorkStealingPool — per-worker deques with steal-from-back semantics,
-//     built for the learner's suffix fan-out where task sizes are heavily
-//     skewed (Zipf suffix sizes: one giant consumer ISP next to thousands of
-//     small operators). The caller seeds a whole batch at once, cost-ordered
-//     largest-first; seeding round-robins tasks across the deques under one
-//     lock acquisition per worker, so there is no shared-queue convoy.
-//     Workers pop their own deque from the front (big tasks start first) and
-//     steal from the back of a victim's deque when empty (stolen tasks are
-//     the smallest remaining, minimizing contention on the victim's lock).
+//   * WorkerPool — one mutex-guarded FIFO that every idle worker pops from
+//     the front, built for the learner's suffix fan-out where task sizes are
+//     heavily skewed (Zipf suffix sizes: one giant consumer ISP next to
+//     thousands of small operators). The caller seeds a whole batch at once,
+//     cost-ordered largest-first, so whichever worker frees up first takes
+//     the largest task left: longest-first list scheduling. Tasks take tens
+//     of µs to hundreds of ms, so the one lock sees a few acquisitions per
+//     millisecond (DESIGN.md §12).
 //   * Heartbeat — the watchdog stamp a pool worker (or a serve::Server event
 //     loop) sets per task, so another thread can spot one stuck past a limit.
 //   * resolve_threads — the shared meaning of a "0 = one per core" knob.
@@ -25,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -42,36 +40,23 @@ struct Heartbeat {
   std::atomic<std::uint64_t> task_seq{0};
 };
 
-// Per-worker accounting of a WorkStealingPool.
-struct WorkerStats {
-  std::uint64_t executed = 0;        // tasks this worker finished
-  std::uint64_t stolen = 0;          // tasks it took from another worker's deque
-  std::uint64_t steal_failures = 0;  // full victim scans that found nothing
-  std::size_t max_queue_depth = 0;   // high-water mark of its own deque
-};
-
 // Maps a thread-count knob to a count: 0 means "use the hardware"
 // (hardware_concurrency, at least 1), anything else passes through.
 std::size_t resolve_threads(std::size_t requested);
 
-// Suffix-sharding pool: per-worker deques, batch seeding, work stealing.
-//
-// Usage is batch-oriented: seed() a whole task list (the caller orders it
-// largest-cost-first), wait_idle(), optionally seed() the next batch. Task
-// i of a seed call lands on worker i % thread_count() — deterministic
-// placement, so a cost-descending order gives every worker one of the k
-// largest tasks.
-class WorkStealingPool {
+// Batch-oriented pool: seed() a whole task list (the caller orders it
+// largest-cost-first), wait_idle(), optionally seed() the next batch. Tasks
+// start in seed order; each runs, and is destroyed, outside the pool's lock.
+class WorkerPool {
  public:
-  explicit WorkStealingPool(std::size_t threads);
-  ~WorkStealingPool();
+  explicit WorkerPool(std::size_t threads);
+  // Runs every seeded task, then joins the workers.
+  ~WorkerPool();
 
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Distributes `tasks` round-robin across the worker deques (task i to
-  // worker i % N, preserving order within each deque) and wakes the
-  // workers. One lock acquisition per worker, not per task.
+  // Appends `tasks`, in order, to the queue and wakes the workers.
   void seed(std::vector<std::function<void()>> tasks);
 
   // Blocks until every seeded task has finished executing.
@@ -87,45 +72,24 @@ class WorkStealingPool {
   // last-reported bookkeeping is not synchronized.
   std::size_t scan_stalled(std::uint64_t threshold_ms);
 
-  std::size_t thread_count() const { return workers_.size(); }
-
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t tasks_stolen = 0;      // sum of workers[].stolen
-    std::uint64_t steal_failures = 0;    // sum of workers[].steal_failures
-    std::size_t max_queue_depth = 0;     // max over workers[].max_queue_depth
-    std::vector<WorkerStats> workers;
-  };
-  Stats stats() const;
+  // Tasks finished since construction.
+  std::uint64_t executed() const;
 
  private:
   using Task = std::function<void()>;
 
-  // One deque + its lock, cache-line separated so a worker popping its own
-  // deque never false-shares with a neighbour being stolen from.
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::deque<Task> deque;
-    WorkerStats stats;
-  };
+  void worker(std::size_t index);
 
-  void worker(std::stop_token stop, std::size_t index);
-  bool try_pop_own(std::size_t index, Task& out);
-  bool try_steal(std::size_t thief, Task& out);
-  void run_task(std::size_t index, Task& task);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Heartbeat> heartbeats_;          // one per worker, fixed size
   std::vector<std::uint64_t> stall_reported_;  // scanner-owned (see scan_stalled)
 
-  std::mutex idle_mu_;
-  std::condition_variable cv_work_;  // new tasks seeded, or stop requested
-  std::condition_variable cv_idle_;  // in-flight reached zero
-  std::atomic<std::size_t> in_flight_{0};  // queued + executing (wait_idle)
-  std::atomic<std::size_t> queued_{0};     // queued only (worker sleep/steal gate)
-  std::atomic<std::uint64_t> submitted_{0};
-  bool stopping_ = false;  // guarded by idle_mu_
+  mutable std::mutex mu_;
+  std::condition_variable cv_work_;  // tasks seeded, or stopping
+  std::condition_variable cv_idle_;  // in_flight_ reached zero
+  std::deque<Task> queue_;           // guarded by mu_
+  std::size_t in_flight_ = 0;        // queued + running, guarded by mu_
+  std::uint64_t executed_ = 0;       // guarded by mu_
+  bool stopping_ = false;            // guarded by mu_
   std::vector<std::jthread> workers_;  // last member: joins before the rest die
 };
 

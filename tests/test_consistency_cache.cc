@@ -73,8 +73,8 @@ TEST(ConsistencyCache, MismatchedGridIsIgnoredNotTrusted) {
   const std::vector<VantagePoint> other_vps = {VantagePoint{"was", "us", kDc},
                                                VantagePoint{"lhr", "uk", kLondon}};
   const ExpectedRttGrid grid(coords, other_vps);
-  ConsistencyCache with(meas, 2, 0.0, true, &grid);
-  ConsistencyCache without(meas, 2, 0.0, true, nullptr);
+  ConsistencyCache with(meas, 2, 0.0, &grid);
+  ConsistencyCache without(meas, 2, 0.0, nullptr);
   EXPECT_TRUE(with.consistent(0, 0, kAshburn));
   EXPECT_FALSE(with.consistent(0, 1, kNashua));
   EXPECT_EQ(with.consistent(0, 0, kAshburn), without.consistent(0, 0, kAshburn));
@@ -117,8 +117,8 @@ TEST(ConsistencyCache, PrefilterRejectsFarCandidates) {
 
 TEST(ConsistencyCache, VerdictsMatchUncachedScanOnSimWorld) {
   // Property check over a realistic multi-VP campaign: for every (router,
-  // location) pair, cached verdicts (prefilter on and off, and backed by
-  // the shared expected-RTT grid the pipeline builds) must equal the raw
+  // location) pair, cached verdicts (prefiltered, and also backed by the
+  // shared expected-RTT grid the pipeline builds) must equal the raw
   // rtt_consistent() scan.
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
   sim::WorldConfig wc;
@@ -130,23 +130,20 @@ TEST(ConsistencyCache, VerdictsMatchUncachedScanOnSimWorld) {
   std::vector<geo::Coordinate> coords(dict.size());
   for (geo::LocationId id = 0; id < dict.size(); ++id) coords[id] = dict.location(id).coord;
   const ExpectedRttGrid grid(coords, meas.vps);
-  ConsistencyCache with(meas, dict.size(), 0.0, /*prefilter=*/true);
-  ConsistencyCache without(meas, dict.size(), 0.0, /*prefilter=*/false);
-  ConsistencyCache gridded(meas, dict.size(), 0.0, /*prefilter=*/true, &grid);
+  ConsistencyCache with(meas, dict.size(), 0.0);
+  ConsistencyCache gridded(meas, dict.size(), 0.0, &grid);
   const std::size_t routers = std::min<std::size_t>(meas.pings.router_count(), 40);
   for (topo::RouterId r = 0; r < routers; ++r) {
     for (geo::LocationId id = 0; id < dict.size(); ++id) {
       const geo::Coordinate& coord = dict.location(id).coord;
       const bool expected = rtt_consistent(meas.pings, meas.vps, r, coord, 0.0);
       ASSERT_EQ(with.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
-      ASSERT_EQ(without.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
       ASSERT_EQ(gridded.consistent(r, id, coord), expected) << "r=" << r << " loc=" << id;
       // Second pass must hit and agree.
       ASSERT_EQ(with.consistent(r, id, coord), expected);
     }
   }
   EXPECT_GT(with.stats().prefilter_rejects, 0u);
-  EXPECT_EQ(without.stats().prefilter_rejects, 0u);
   EXPECT_GT(with.stats().hits, 0u);
 }
 

@@ -5,7 +5,7 @@
 //   * Zipf skew — the head suffix dwarfs the tail, sizes follow the plan;
 //   * run_stream ≡ run — streaming the world through Hoiho produces the
 //     same per-suffix learnings as materializing it as one batch;
-//   * threads=1 ≡ threads=8 — work-stealing does not perturb results;
+//   * threads=1 ≡ threads=8 — scheduling does not perturb results;
 //   * the pool's stall watchdog counts stalls without perturbing them.
 #include <gtest/gtest.h>
 
@@ -180,23 +180,32 @@ TEST(RunStream, CompactsPerHostnamePayloads) {
   }
 }
 
-TEST(RunStream, ReportCarriesStreamIngestAndPoolMetrics) {
+TEST(RunStream, RegistryCarriesStreamIngestAndPoolMetrics) {
   sim::StreamingWorldConfig config = small_config();
   sim::StreamingWorld world(geo::builtin_dictionary(), config);
+  obs::Registry registry;
+  obs::Tracer tracer;
   HoihoConfig hc;
   hc.threads = 4;
-  const RunReport report = Hoiho(geo::builtin_dictionary(), hc).run_stream_report(world);
-  EXPECT_GT(report.metrics.value("pipeline_stream_batches"), 1u);
-  EXPECT_GT(report.metrics.value("pipeline_suffixes"), 0u);
-  EXPECT_EQ(report.metrics.value("ingest_records{source=\"stream\"}"), world.report().records);
-  // The work-stealing pool executed every seeded task (only when the host
-  // has the cores to spin it up — workers are clamped to hardware).
+  hc.registry = &registry;
+  hc.tracer = &tracer;
+  Hoiho(geo::builtin_dictionary(), hc).run_stream(world);
+  const obs::Snapshot metrics = registry.snapshot();
+  EXPECT_GT(metrics.value("pipeline_stream_batches"), 1u);
+  EXPECT_GT(metrics.value("pipeline_suffixes"), 0u);
+  EXPECT_EQ(metrics.value("ingest_records{source=\"stream\"}"), world.report().records);
+  // The pool executed every seeded task (only when the host has the cores
+  // to spin it up — workers are clamped to hardware).
   if (util::resolve_threads(0) > 1) {
-    const obs::Snapshot::Entry* executed = report.metrics.find("pipeline_pool_tasks_executed");
+    const obs::Snapshot::Entry* executed = metrics.find("pipeline_pool_tasks_executed");
     ASSERT_NE(executed, nullptr);
-    EXPECT_EQ(static_cast<std::uint64_t>(executed->gauge),
-              report.metrics.value("pipeline_suffixes"));
+    EXPECT_EQ(static_cast<std::uint64_t>(executed->gauge), metrics.value("pipeline_suffixes"));
   }
+  // One run_stream span roots the streamed learn.
+  std::size_t roots = 0;
+  for (const obs::SpanRecord& s : tracer.spans()) roots += s.name == "run_stream" ? 1 : 0;
+  EXPECT_EQ(roots, 1u);
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 // The pool watchdog: at a 1 ms threshold, the M-tier world's large

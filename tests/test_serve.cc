@@ -149,6 +149,11 @@ TEST(Protocol, ParseGeoRequests) {
   EXPECT_EQ(parse_request("GEO host 38.96").error, "bad_coordinate");
   EXPECT_EQ(parse_request("GEO host 91.0,2.0").error, "bad_coordinate");
   EXPECT_EQ(parse_request("GEO host 91.0,2.0").kind, RequestKind::kGeo);
+  // A longitude that is not finite, or off the globe, is no claim either.
+  EXPECT_EQ(parse_request("GEO host 38.96,inf").error, "bad_coordinate");
+  EXPECT_EQ(parse_request("GEO host 38.96,nan").error, "bad_coordinate");
+  EXPECT_EQ(parse_request("GEO host 38.96,-infinity").error, "bad_coordinate");
+  EXPECT_EQ(parse_request("GEO host 38.96,500").error, "bad_coordinate");
 }
 
 TEST(Protocol, UnknownVerbsAreNamedErrorsNotLookups) {

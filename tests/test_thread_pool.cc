@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -16,27 +19,21 @@ TEST(ResolveThreads, MapsZeroToHardware) {
   EXPECT_EQ(resolve_threads(7), 7u);
 }
 
-TEST(WorkStealingPool, SeedRunsEveryTask) {
+TEST(WorkerPool, SeedRunsEveryTask) {
   std::atomic<int> count{0};
-  WorkStealingPool pool(4);
+  WorkerPool pool(4);
   std::vector<std::function<void()>> tasks;
   for (int i = 0; i < 1000; ++i)
     tasks.push_back([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   pool.seed(std::move(tasks));
   pool.wait_idle();
   EXPECT_EQ(count.load(), 1000);
-  const WorkStealingPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, 1000u);
-  EXPECT_EQ(stats.executed, 1000u);
-  ASSERT_EQ(stats.workers.size(), 4u);
-  std::uint64_t sum = 0;
-  for (const WorkerStats& w : stats.workers) sum += w.executed;
-  EXPECT_EQ(sum, 1000u);
+  EXPECT_EQ(pool.executed(), 1000u);
 }
 
-TEST(WorkStealingPool, ReusableAcrossBatches) {
+TEST(WorkerPool, ReusableAcrossBatches) {
   std::atomic<int> count{0};
-  WorkStealingPool pool(2);
+  WorkerPool pool(2);
   for (int batch = 0; batch < 3; ++batch) {
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 50; ++i)
@@ -47,40 +44,37 @@ TEST(WorkStealingPool, ReusableAcrossBatches) {
   }
 }
 
-TEST(WorkStealingPool, StealsUnderSkew) {
-  // One worker's deque gets a giant task followed by many small ones (the
-  // Zipf head); the other workers must steal the small tasks rather than
-  // idle. Task 0 lands on worker 0 (seed() is round-robin), and with 2
-  // workers every even-indexed task starts on worker 0's deque.
-  WorkStealingPool pool(2);
-  std::atomic<int> count{0};
-  std::atomic<bool> gate{false};
+TEST(WorkerPool, IdleWorkerTakesTheLargestLeft) {
+  // The caller seeds largest-first, so tasks 1..40 stand for ever smaller
+  // suffixes behind a head (task 0) that pins one of the two workers until
+  // all of them have run. The free worker must take them in seed order —
+  // always the largest left — not in an order set by where each was queued.
+  WorkerPool pool(2);
+  std::mutex mu;
+  std::vector<int> started;
+  std::atomic<bool> tail_done{false};
   std::vector<std::function<void()>> tasks;
   tasks.push_back([&] {
-    // Worker 0 is pinned here until the other worker has finished
-    // everything else — which it can only do by stealing worker 0's share.
-    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
-    count.fetch_add(1, std::memory_order_relaxed);
+    while (!tail_done.load(std::memory_order_acquire)) std::this_thread::yield();
   });
-  for (int i = 1; i < 41; ++i)
-    tasks.push_back([&] {
-      if (count.fetch_add(1, std::memory_order_relaxed) + 1 == 40)
-        gate.store(true, std::memory_order_release);
+  for (int i = 1; i <= 40; ++i)
+    tasks.push_back([&, i] {
+      const std::lock_guard lock(mu);
+      started.push_back(i);
+      if (started.size() == 40) tail_done.store(true, std::memory_order_release);
     });
   pool.seed(std::move(tasks));
   pool.wait_idle();
-  EXPECT_EQ(count.load(), 41);
-  const WorkStealingPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.executed, 41u);
-  // ~20 of worker 0's tasks were queued behind the pinned task; the other
-  // worker must have taken at least some of them.
-  EXPECT_GT(stats.tasks_stolen, 0u);
+  std::vector<int> expected(40);
+  std::iota(expected.begin(), expected.end(), 1);
+  EXPECT_EQ(started, expected);
+  EXPECT_EQ(pool.executed(), 41u);
 }
 
-TEST(WorkStealingPool, DestructorDrainsSeededTasks) {
+TEST(WorkerPool, DestructorDrainsSeededTasks) {
   std::atomic<int> count{0};
   {
-    WorkStealingPool pool(2);
+    WorkerPool pool(2);
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 100; ++i)
       tasks.push_back([&count] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -90,28 +84,16 @@ TEST(WorkStealingPool, DestructorDrainsSeededTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(WorkStealingPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  WorkStealingPool pool(2);
+TEST(WorkerPool, WaitIdleOnEmptyPoolReturnsImmediately) {
+  WorkerPool pool(2);
   pool.wait_idle();
   pool.seed({});  // empty seed is a no-op
   pool.wait_idle();
   SUCCEED();
 }
 
-TEST(WorkStealingPool, TracksMaxQueueDepth) {
-  WorkStealingPool pool(2);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i)
-    tasks.push_back([] { std::this_thread::sleep_for(std::chrono::microseconds(10)); });
-  pool.seed(std::move(tasks));
-  pool.wait_idle();
-  // 100 tasks round-robined over 2 deques: each deque held up to 50 at once.
-  EXPECT_GE(pool.stats().max_queue_depth, 25u);
-  EXPECT_LE(pool.stats().max_queue_depth, 50u);
-}
-
-TEST(WorkStealingPool, ScanStalledPairsWithWaitIdleFor) {
-  WorkStealingPool pool(2);
+TEST(WorkerPool, ScanStalledPairsWithWaitIdleFor) {
+  WorkerPool pool(2);
   std::atomic<bool> release{false};
   std::vector<std::function<void()>> tasks;
   tasks.push_back([&] {
